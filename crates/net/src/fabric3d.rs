@@ -655,12 +655,6 @@ impl TorusFabric {
         self.fabric.step_batched(limit);
     }
 
-    /// Advances to `target` exactly as repeated [`Self::step`] calls
-    /// would, fast-forwarding dead time between link arrivals.
-    pub fn step_until(&mut self, target: u64) {
-        self.fabric.step_until(target);
-    }
-
     /// Steps until empty or `max_cycles`; returns whether it drained.
     /// Dead time between link arrivals is fast-forwarded.
     pub fn run_until_drained(&mut self, max_cycles: u64) -> bool {

@@ -49,9 +49,16 @@
 //! - **allocation-free hot path**: the per-cycle buffers (candidates,
 //!   probes, departures) persist across cycles, so a steady-state step
 //!   allocates nothing;
-//! - a [`RouterFabric::step_until`] fast-forward that jumps the dead
-//!   cycles between link-arrival events when no router has queued work —
-//!   in-flight wire time is the dominant idle span on calibrated tori.
+//! - a dead-cycle fast-forward ([`RouterFabric::step_next_event`],
+//!   [`RouterFabric::step_batched`]) that jumps the cycles between
+//!   link-arrival events when no router has queued work — in-flight wire
+//!   time is the dominant idle span on calibrated tori.
+//!
+//! One loop implements all of this at every shard count: the
+//! lookahead-epoch window of the `shard` module. A sharded fabric runs
+//! it on a worker pool, one contiguous router region per worker; an
+//! unsharded one runs the same loop inline on the stepping thread, with
+//! no pool and no barrier.
 //!
 //! The pre-worklist full-scan stepper is retained verbatim as
 //! [`RouterFabric::step_reference`] (arbitrating via
@@ -1203,7 +1210,13 @@ use shard::{ShardPool, ShardScratch};
 /// provides the acquire/release edge before the serial merge epilogue.
 /// The frame itself lives on the stepping thread's stack and is only
 /// dereferenced between pool launch and that fence, which the stepping
-/// thread also waits on.
+/// thread also waits on. An unsharded fabric has no pool: the stepping
+/// thread runs the one shard's window inline, so the frame never leaves
+/// the thread that built it.
+///
+/// Debug builds check the ownership classes at every raw write: each
+/// router index a shard touches lies in its range, and each shadow slot
+/// it debits belongs to a boundary link whose upstream router it owns.
 #[allow(unsafe_code)]
 mod shard {
     use super::*;
@@ -1232,7 +1245,8 @@ mod shard {
         /// no transmission window to hide the exchange barrier in. (Links of
         /// a calibrated torus are always at least one cycle long; latency-0
         /// router links occur only in single-chip test fabrics, which step
-        /// with one shard.)
+        /// with one shard, where the epoch loop accepts such a flit into
+        /// its destination router in the cycle it departs.)
         ZeroLatencyLink {
             /// Upstream router of the offending link.
             router: usize,
@@ -1457,16 +1471,19 @@ mod shard {
     }
 
     /// Per-shard working state of a lookahead epoch, reused across
-    /// epochs. The schedule lists (`unreserve`, `accepts`) are filled by
-    /// the serial prologue; everything else is written only by the owning
-    /// shard during its private window and drained serially by the merge
+    /// epochs and allocated by the first epoch after a partition. The
+    /// schedule lists (`unreserve`, `accepts`) are filled by the serial
+    /// prologue; everything else is written only by the owning shard
+    /// during its private window and drained serially by the merge
     /// epilogue.
+    #[derive(Default)]
     pub(super) struct ShardScratch {
         /// Current private cycle's arbitration worklist, sorted ascending;
         /// holds the shard's surviving actives when the epoch ends.
         worklist: Vec<usize>,
-        /// Routers activated by this private cycle's accepts, merged into
-        /// the worklist before arbitration.
+        /// Routers activated by this private cycle's accepts (landings,
+        /// and same-cycle latency-0 arrivals), merged into the worklist
+        /// before the next arbitration and at the end of the window.
         incoming: Vec<usize>,
         /// Prologue-scheduled credit releases for this shard's links, in
         /// ascending cycle order.
@@ -1495,42 +1512,23 @@ mod shard {
         /// Epilogue cursor: segment starts (previous segment's ends) over
         /// `moves` / `stalls` / `delivered_eject` / `outwheel`.
         merged: (u32, u32, u32, u32),
-        /// Credit-probe scratch — the per-shard copy of the serial stepper's
-        /// `scratch_ok` / `scratch_gen` / `probe_gen` trio.
+        /// Credit-probe buffer (`[out * vcs + vc]`) of the router being
+        /// arbitrated: an entry is valid iff its `probe_stamp` equals
+        /// `probe_gen`, which is bumped once per arbitrated router, so
+        /// repeated probes of one (out, vc) pair compute the credit check
+        /// once without any per-cycle clearing.
         probe_ok: Vec<bool>,
         probe_stamp: Vec<u64>,
         probe_gen: u64,
         /// Per-link advance stamps (`cycle + 1` when the link moved a flit
-        /// that cycle), offset by `link_base` — the shard-local stand-in
-        /// for `Telemetry::advanced_on` during parallel stall
-        /// classification.
+        /// that cycle), indexed from the shard's first link — the
+        /// shard-local stand-in for `Telemetry::advanced_on` during
+        /// parallel stall classification. Sized by the first epoch that
+        /// records telemetry; nothing else reads it.
         adv_stamp: Vec<u64>,
-        /// Global link offset of this shard's first router.
-        link_base: usize,
     }
 
     impl ShardScratch {
-        pub(super) fn new(link_lo: usize, link_hi: usize) -> Self {
-            ShardScratch {
-                worklist: Vec::new(),
-                incoming: Vec::new(),
-                unreserve: Vec::new(),
-                accepts: Vec::new(),
-                moves: Vec::new(),
-                delivered_eject: Vec::new(),
-                outwheel: Vec::new(),
-                stalls: Vec::new(),
-                segs: Vec::new(),
-                seg_pos: 0,
-                merged: (0, 0, 0, 0),
-                probe_ok: Vec::new(),
-                probe_stamp: Vec::new(),
-                probe_gen: 0,
-                adv_stamp: vec![0; link_hi - link_lo],
-                link_base: link_lo,
-            }
-        }
-
         /// Heap bytes behind this shard's scratch buffers (for the
         /// fabric memory audit).
         pub(super) fn memory_bytes(&self) -> usize {
@@ -1582,7 +1580,8 @@ mod shard {
     /// pointers into the fabric plus this window's inputs. Built on the
     /// stack of [`RouterFabric::step_epoch`] and dereferenced only
     /// between the pool launch and the end-of-epoch barrier, which the
-    /// main thread also waits on before the frame goes out of scope.
+    /// main thread also waits on before the frame goes out of scope
+    /// (without a pool, only during the inline call on that thread).
     ///
     /// # Safety discipline
     ///
@@ -1602,7 +1601,6 @@ mod shard {
         /// Window width: shards privately simulate `cycle..cycle + window`.
         window: u64,
         n_routers: usize,
-        n_links: usize,
         routers: *mut CycleRouter,
         channels: *mut Vec<ChannelState>,
         next_free: *mut Vec<u64>,
@@ -1614,8 +1612,10 @@ mod shard {
         link_off: *const usize,
         credit_view: *const AtomicU32,
         credit_len: usize,
-        /// Per-link first shadow slot (`u32::MAX` for non-boundary links).
+        /// Per-link first shadow slot (`u32::MAX` for non-boundary links);
+        /// empty when unsharded, where no link crosses a boundary.
         boundary_slot: *const u32,
+        boundary_slot_len: usize,
         /// Boundary credit shadows, one slot per boundary `(link, vc)`.
         shadow: *mut u32,
         route: *const Box<RouteFn>,
@@ -1636,10 +1636,11 @@ mod shard {
     /// Runs one shard's private window of a lookahead epoch: up to
     /// `window` cycles of land / arbitrate / apply with **no internal
     /// synchronization**, fast-forwarding cycles where the shard has
-    /// neither queued work nor a scheduled arrival. Every party — the
-    /// stepping thread as shard 0, one pool worker per remaining shard —
-    /// calls this exactly once per epoch, then waits on the epoch
-    /// barrier.
+    /// neither queued work nor a scheduled arrival. On a sharded fabric
+    /// every party — the stepping thread as shard 0, one pool worker per
+    /// remaining shard — calls this exactly once per epoch, then waits on
+    /// the epoch barrier; an unsharded fabric's stepping thread calls it
+    /// for shard 0 alone.
     ///
     /// Cross-shard effects cannot occur inside the window: every
     /// positive-latency link is at least `window` cycles long, so a flit
@@ -1649,7 +1650,8 @@ mod shard {
     /// `accepts` schedules). Probes and stall classification against
     /// remote downstream queues read the per-boundary credit shadow,
     /// which the prologue's window clamp keeps bit-exact (see
-    /// [`RouterFabric::step_epoch`]).
+    /// [`RouterFabric::step_epoch`]). Latency-0 router links exist only
+    /// unsharded, so their same-cycle arrivals never leave the shard.
     ///
     /// # Safety
     /// `sh` must be a live frame built by `step_epoch`, `s` a valid
@@ -1666,7 +1668,7 @@ mod shard {
         let queue_off = std::slice::from_raw_parts(sh.queue_off, sh.n_routers + 1);
         let link_off = std::slice::from_raw_parts(sh.link_off, sh.n_routers + 1);
         let credit_view = std::slice::from_raw_parts(sh.credit_view, sh.credit_len);
-        let boundary_slot = std::slice::from_raw_parts(sh.boundary_slot, sh.n_links);
+        let boundary_slot = std::slice::from_raw_parts(sh.boundary_slot, sh.boundary_slot_len);
         let shadow_ptr = sh.shadow;
         let route: &RouteFn = (*sh.route).as_ref();
         let classify = (*sh.classify).as_deref();
@@ -1674,6 +1676,21 @@ mod shard {
         let scratch = &mut *sh.scratch.add(s);
         let t0 = sh.cycle;
         let tend = t0 + sh.window;
+        let link_base = link_off[lo];
+        let owns = |r: usize| lo <= r && r < hi;
+        // Free credits of input queue `queue + vc`, fed by `link`: the
+        // epoch shadow for a boundary link, else the credit mirror.
+        let credit = |link: usize, queue: usize, vc: u8| match boundary_slot.get(link) {
+            // SAFETY: a boundary link's shadow slots belong to the shard
+            // owning its upstream end — the shard probing through it.
+            Some(&slot) if slot != u32::MAX => unsafe {
+                *shadow_ptr.add(slot as usize + vc as usize)
+            },
+            _ => credit_view[queue + vc as usize].load(Ordering::Relaxed),
+        };
+        if sh.telemetry {
+            scratch.adv_stamp.resize(link_off[hi] - link_base, 0);
+        }
 
         // Epoch-start worklist: the fabric's sorted active list restricted
         // to this shard's contiguous range.
@@ -1686,33 +1703,41 @@ mod shard {
         let mut ai = 0; // cursor into scratch.accepts
         let mut cycle = t0;
         loop {
-            if scratch.worklist.is_empty() {
+            if scratch.worklist.is_empty() && scratch.incoming.is_empty() {
                 // Dead shard-cycle fast-forward: nothing can arbitrate
                 // until a scheduled arrival activates a router. Credit
                 // releases in the skipped span are applied lazily below —
                 // nothing reads them while the worklist is empty.
-                match scratch.accepts.get(ai) {
-                    Some(acc) => cycle = acc.cycle,
-                    None => break,
-                }
+                cycle = scratch.accepts.get(ai).map_or(tend, |acc| acc.cycle);
             }
-            if cycle >= tend {
-                break;
-            }
+            let done = cycle >= tend;
 
             // Land, upstream half: flits that left this shard's links
             // release their reserved credit at their arrival cycle and,
             // on boundary links, debit the epoch's credit shadow — the
             // mirror of the remote accept happening this same cycle.
+            // Once the window is done, releases scheduled after its last
+            // executed cycle still belong to it: apply them all.
             while let Some(u) = scratch.unreserve.get(ui) {
-                if u.cycle > cycle {
+                if u.cycle > cycle && !done {
                     break;
                 }
-                reserved[u.router as usize - lo][u.queue as usize] -= 1;
+                let (r, q) = (u.router as usize, u.queue as usize);
+                debug_assert!(owns(r), "credit release of router {r} outside shard {s}");
+                reserved[r - lo][q] -= 1;
                 if u.shadow != u32::MAX {
+                    let vcs = routers[r - lo].vcs;
+                    debug_assert_eq!(
+                        boundary_slot[link_off[r] + q / vcs] + (q % vcs) as u32,
+                        u.shadow,
+                        "shadow slot outside shard {s}'s boundary links"
+                    );
                     *shadow_ptr.add(u.shadow as usize) -= 1;
                 }
                 ui += 1;
+            }
+            if done {
+                break;
             }
             // Land, downstream half: window arrivals into this shard's
             // routers accept, debit the credit mirror, and activate.
@@ -1720,6 +1745,7 @@ mod shard {
                 let acc = scratch.accepts[ai];
                 debug_assert_eq!(acc.cycle, cycle, "accept schedule out of order");
                 let (r, port) = (acc.router as usize, acc.port as usize);
+                debug_assert!(owns(r), "accept into router {r} outside shard {s}");
                 let router = &mut routers[r - lo];
                 router.accept(port, acc.flit.vc, acc.flit, cycle);
                 credit_view[queue_off[r] + port * router.vcs + acc.flit.vc as usize]
@@ -1735,12 +1761,16 @@ mod shard {
                 scratch.worklist.sort_unstable();
             }
 
-            // Arbitration over the worklist — the serial stepper's loop,
-            // with boundary-link probes reading the epoch shadow.
+            // Arbitration over the worklist. Downstream-credit probes run
+            // only for the (out, vc) pairs this cycle's candidates and
+            // owners can ask about, count the credits reserved by flits
+            // in flight, and read the epoch shadow on boundary links.
+            // Idle routers are pruned from the worklist here.
             let moves_start = scratch.moves.len();
             let mut kept = 0;
             for i in 0..scratch.worklist.len() {
                 let r = scratch.worklist[i];
+                debug_assert!(owns(r), "worklist router {r} outside shard {s}");
                 let router = &mut routers[r - lo];
                 if router.is_idle() {
                     is_active[r - lo] = false;
@@ -1775,17 +1805,9 @@ mod shard {
                             let serializable = next_free_r[out] <= cycle;
                             probe_ok[i] = match wiring_r[out] {
                                 PortLink::Router { router, port } => {
-                                    let bslot = boundary_slot[link_base_r + out];
-                                    let credit = if bslot == u32::MAX {
-                                        credit_view[queue_off[router] + port * vcs + vc as usize]
-                                            .load(Ordering::Relaxed)
-                                    } else {
-                                        // SAFETY: this shadow slot belongs
-                                        // to this link, whose upstream end
-                                        // this shard owns exclusively.
-                                        unsafe { *shadow_ptr.add(bslot as usize + vc as usize) }
-                                    };
-                                    serializable && reserved_r[i] < credit
+                                    let queue = queue_off[router] + port * vcs;
+                                    serializable
+                                        && reserved_r[i] < credit(link_base_r + out, queue, vc)
                                 }
                                 PortLink::Endpoint(_) => serializable,
                                 PortLink::Unused => false,
@@ -1807,9 +1829,8 @@ mod shard {
                 // Stamp this cycle's advanced links, then classify every
                 // occupied front against the same private-cycle state the
                 // probes read — the epoch mirror of `telemetry_record`.
-                let base = scratch.link_base;
                 for &(r, out, _) in &scratch.moves[moves_start..] {
-                    scratch.adv_stamp[link_off[r] - base + out] = cycle + 1;
+                    scratch.adv_stamp[link_off[r] - link_base + out] = cycle + 1;
                 }
                 for &r in &scratch.worklist {
                     let router = &routers[r - lo];
@@ -1833,7 +1854,8 @@ mod shard {
                             };
                             let cause = if arrived + router.pipeline > cycle {
                                 StallCause::PipelineImmature
-                            } else if scratch.adv_stamp[link_off[r] - base + out] == cycle + 1 {
+                            } else if scratch.adv_stamp[link_off[r] - link_base + out] == cycle + 1
+                            {
                                 StallCause::LostArbitration
                             } else if next_free[r - lo][out] > cycle {
                                 StallCause::SerializationBusy
@@ -1843,14 +1865,8 @@ mod shard {
                                         router: dst,
                                         port: dport,
                                     } => {
-                                        let bslot = boundary_slot[link_off[r] + out];
-                                        let credit = if bslot == u32::MAX {
-                                            credit_view
-                                                [queue_off[dst] + dport * vcs + out_vc as usize]
-                                                .load(Ordering::Relaxed)
-                                        } else {
-                                            *shadow_ptr.add(bslot as usize + out_vc as usize)
-                                        };
+                                        let queue = queue_off[dst] + dport * vcs;
+                                        let credit = credit(link_off[r] + out, queue, out_vc);
                                         if reserved[r - lo][out * vcs + out_vc as usize] >= credit {
                                             StallCause::CreditStarved
                                         } else {
@@ -1866,12 +1882,12 @@ mod shard {
                 }
             }
 
-            // Apply: departures enter their links. Every booking lands at
-            // or beyond the epoch barrier (no positive link latency is
-            // shorter than the window), so they all go to the outwheel.
+            // Apply: departures enter their links. Every positive-latency
+            // booking lands at or beyond the epoch barrier (no such link
+            // is shorter than the window), so they all go to the outwheel.
             for i in moves_start..scratch.moves.len() {
                 let (r, out, flit) = scratch.moves[i];
-                debug_assert!(lo <= r && r < hi, "move escaped its shard");
+                debug_assert!(owns(r), "move from router {r} escaped shard {s}");
                 let class = classify.map(|f| f(&flit));
                 let vcs = routers[r - lo].vcs;
                 let ch = &mut channels[r - lo][out];
@@ -1883,8 +1899,24 @@ mod shard {
                 }
                 let spec = ch.spec;
                 match wiring[r][out] {
-                    PortLink::Router { .. } if spec.latency == 0 => {
-                        unreachable!("sharded stepping requires latency >= 1 on router links")
+                    PortLink::Router {
+                        router: dst,
+                        port: dport,
+                    } if spec.latency == 0 => {
+                        // Link flight is folded into the downstream
+                        // pipeline constant (the paper's per-hop cycle
+                        // counts are inclusive), so the flit lands this
+                        // cycle — in this shard, since `set_shards`
+                        // rejects latency-0 router links when sharded.
+                        debug_assert!(owns(dst), "latency-0 link left shard {s}");
+                        let router = &mut routers[dst - lo];
+                        router.accept(dport, flit.vc, flit, cycle);
+                        credit_view[queue_off[dst] + dport * router.vcs + flit.vc as usize]
+                            .fetch_sub(1, Ordering::Relaxed);
+                        if !is_active[dst - lo] {
+                            is_active[dst - lo] = true;
+                            scratch.incoming.push(dst);
+                        }
                     }
                     PortLink::Router { .. } => {
                         reserved[r - lo][out * vcs + flit.vc as usize] += 1;
@@ -1929,14 +1961,10 @@ mod shard {
             cycle += 1;
         }
 
-        // Credit releases scheduled after the last executed cycle still
-        // belong to this window; apply them before the barrier.
-        while let Some(u) = scratch.unreserve.get(ui) {
-            reserved[u.router as usize - lo][u.queue as usize] -= 1;
-            if u.shadow != u32::MAX {
-                *shadow_ptr.add(u.shadow as usize) -= 1;
-            }
-            ui += 1;
+        // Routers activated on the window's last cycle survive the epoch.
+        if !scratch.incoming.is_empty() {
+            scratch.worklist.append(&mut scratch.incoming);
+            scratch.worklist.sort_unstable();
         }
     }
 
@@ -1946,16 +1974,19 @@ mod shard {
             self.bounds.partition_point(|&b| b <= r) - 1
         }
 
-        /// The lookahead-epoch step (shard count > 1): selects the widest
-        /// window `W` every shard can legally simulate alone, replays the
-        /// window's already-in-flight arrivals into per-shard schedules
-        /// (the prologue), runs all shards privately for up to `W` cycles
+        /// The lookahead-epoch step, the fabric's one fast stepper at
+        /// every shard count: selects the widest window `W` every shard
+        /// can legally simulate alone, replays the window's
+        /// already-in-flight arrivals into per-shard schedules (the
+        /// prologue), runs all shards privately for up to `W` cycles
         /// with **one** pool launch and **one** end-of-epoch barrier —
         /// where the per-cycle protocol paid one launch plus four barriers
         /// per simulated cycle — then interleaves the per-shard outputs
         /// serially in (cycle, ascending shard) order, which over
-        /// contiguous ascending regions reproduces the serial steppers'
-        /// per-cycle ascending-router order exactly.
+        /// contiguous ascending regions reproduces the reference
+        /// stepper's per-cycle ascending-router order exactly. Unsharded,
+        /// the stepping thread runs the single shard's window inline:
+        /// no launch, no barrier, and no synchronization counted.
         ///
         /// Window selection takes the minimum of:
         /// - the caller's stepping limit (`limit - cycle`),
@@ -1978,18 +2009,19 @@ mod shard {
         ///
         /// When the window drains the fabric, the cycle counter rewinds
         /// to one past the last cycle with any activity — the exact cycle
-        /// the serial steppers stop at — so drain-loop observables do not
-        /// depend on the window width.
+        /// a cycle-by-cycle drain stops at — so drain-loop observables do
+        /// not depend on the window width.
         ///
         /// With `stop_at_delivery`, the window is pinned to one cycle,
         /// so a delivery-reactive driver (one that may inject follow-on
         /// traffic when a packet completes, like the sweep's force-return
-        /// workloads) regains control at exactly the cycle the serial
-        /// steppers would hand it — the [`RouterFabric::step_next_event`]
-        /// contract. The pin is necessary because deliveries on
-        /// zero-latency ejection links happen *inside* shard windows,
-        /// where no prologue can foresee them and no epoch can be
-        /// unwound past them; idle stretches still fast-forward, since
+        /// workloads) regains control at exactly the cycle a
+        /// cycle-by-cycle stepper would hand it — the
+        /// [`RouterFabric::step_next_event`] contract. The pin is
+        /// necessary because deliveries on zero-latency ejection links
+        /// happen *inside* shard windows, where no prologue can foresee
+        /// them and no epoch can be unwound past them; idle stretches
+        /// still fast-forward, since
         /// `step_ahead` jumps dead cycles before each epoch. Callers
         /// that cannot react mid-call ([`RouterFabric::run_until_drained`]
         /// and drivers of non-spawning workloads) pass `false` and get
@@ -1997,6 +2029,11 @@ mod shard {
         pub(super) fn step_epoch(&mut self, limit: u64, stop_at_delivery: bool) {
             let t0 = self.cycle;
             debug_assert!(limit > t0, "epoch must advance at least one cycle");
+            let shards = self.shards();
+            if self.shard_scratch.len() != shards {
+                self.shard_scratch
+                    .resize_with(shards, ShardScratch::default);
+            }
             if self.telemetry.is_some() {
                 self.telemetry_begin_step();
             }
@@ -2082,11 +2119,9 @@ mod shard {
                             port: dport,
                         } => {
                             let vcs = self.routers[r].vcs;
-                            let bslot = self.boundary_slot[self.link_off[r] + port];
-                            let shadow = if bslot == u32::MAX {
-                                u32::MAX
-                            } else {
-                                bslot + u32::from(flit.vc)
+                            let shadow = match self.boundary_slot.get(self.link_off[r] + port) {
+                                Some(&bslot) if bslot != u32::MAX => bslot + u32::from(flit.vc),
+                                _ => u32::MAX,
                             };
                             let src = self.shard_of(r);
                             self.shard_scratch[src].unreserve.push(UnreserveAt {
@@ -2113,13 +2148,24 @@ mod shard {
             }
 
             // ---- Private windows: one launch, one barrier ----
-            let shards = self.bounds.len() - 1;
+            let n = self.routers.len();
+            debug_assert_eq!(self.bounds.len(), shards + 1, "partition bounds");
+            debug_assert_eq!(self.shard_scratch.len(), shards, "one scratch per shard");
+            debug_assert_eq!(
+                self.credit_view.len(),
+                self.queue_off[n],
+                "credit mirror size"
+            );
+            debug_assert_eq!(
+                self.boundary_slot.len(),
+                if shards > 1 { self.link_off[n] } else { 0 },
+                "boundary-slot map size"
+            );
             {
                 let frame = StepShared {
                     cycle: t0,
                     window: w,
-                    n_routers: self.routers.len(),
-                    n_links: self.link_off[self.routers.len()],
+                    n_routers: n,
                     routers: self.routers.as_mut_ptr(),
                     channels: self.channels.as_mut_ptr(),
                     next_free: self.next_free.as_mut_ptr(),
@@ -2132,6 +2178,7 @@ mod shard {
                     credit_view: self.credit_view.as_ptr(),
                     credit_len: self.credit_view.len(),
                     boundary_slot: self.boundary_slot.as_ptr(),
+                    boundary_slot_len: self.boundary_slot.len(),
                     shadow: self.shadow.as_mut_ptr(),
                     route: &self.route,
                     classify: &self.classify,
@@ -2141,22 +2188,28 @@ mod shard {
                     active_len: self.active.len(),
                     scratch: self.shard_scratch.as_mut_ptr(),
                 };
-                let pool = self.pool.as_ref().expect("epoch step without a pool");
-                pool.launch(&frame);
-                // SAFETY: the frame stays on this stack until every party —
-                // including this thread, as shard 0 — passes the epoch
-                // barrier, after which no worker touches it.
-                unsafe { run_shard_epoch(&frame, 0) };
-                pool.ctl.barrier.wait();
+                match &self.pool {
+                    Some(pool) => {
+                        pool.launch(&frame);
+                        // SAFETY: the frame stays on this stack until every
+                        // party — including this thread, as shard 0 — passes
+                        // the epoch barrier, after which no worker touches it.
+                        unsafe { run_shard_epoch(&frame, 0) };
+                        pool.ctl.barrier.wait();
+                    }
+                    // SAFETY: unsharded, this thread is the only party and
+                    // the frame outlives the call.
+                    None => unsafe { run_shard_epoch(&frame, 0) },
+                }
             }
-            self.sync_ops += 2; // one pool launch + one epoch barrier
-            self.epochs += 1;
+            let pooled = self.pool.is_some();
+            if pooled {
+                self.sync_ops += 2; // one pool launch + one epoch barrier
+                self.epochs += 1;
+            }
 
             // ---- Serial merge epilogue: (cycle, shard) interleave ----
-            let mut sent = 0;
-            for sc in &self.shard_scratch[..shards] {
-                sent += sc.outwheel.len();
-            }
+            let sent: usize = self.shard_scratch.iter().map(|sc| sc.outwheel.len()).sum();
             self.in_flight_total += sent;
 
             // Telemetry is detached during the merge so disjoint field
@@ -2164,7 +2217,17 @@ mod shard {
             let mut tel = self.telemetry.take();
             let mut land_pos = 0;
             let mut last_active = t0;
-            for c in t0..t0 + w {
+            // Visit only the cycles some shard executed or a landing
+            // falls on: a window over latency-0 links spans up to the
+            // caller's limit, most of it fast-forwarded.
+            loop {
+                let mut next = self.land_sched.get(land_pos).map(|&(t, _)| t);
+                for sc in &self.shard_scratch {
+                    if let Some(seg) = sc.segs.get(sc.seg_pos) {
+                        next = Some(next.map_or(seg.cycle, |t| t.min(seg.cycle)));
+                    }
+                }
+                let Some(c) = next else { break };
                 let mut any = false;
                 // Advances, shard-ascending — within a shard, a cycle's
                 // move segment is already in ascending router order.
@@ -2179,7 +2242,7 @@ mod shard {
                     // A router can linger in the worklist one cycle past
                     // its last departure, emitting an empty segment; only
                     // real moves count toward the drain rewind, so the
-                    // stop cycle matches the serial steppers exactly.
+                    // stop cycle matches a cycle-by-cycle drain exactly.
                     if seg.moves_end > sc.merged.0 {
                         any = true;
                     }
@@ -2208,7 +2271,7 @@ mod shard {
                     }
                 }
                 // Deliveries: endpoint landings in departure order first
-                // (the serial land phase), then latency-0 ejections; then
+                // (the reference land phase), then latency-0 ejections; then
                 // this cycle's wheel bookings, all in departure order.
                 while land_pos < self.land_sched.len() && self.land_sched[land_pos].0 == c {
                     self.delivered.push((c, self.land_sched[land_pos].1));
@@ -2259,13 +2322,15 @@ mod shard {
             }
 
             self.cycle = if self.active.is_empty() && self.in_flight_total == 0 {
-                // Drained inside the window: stop where the serial
-                // steppers stop, independent of the window width.
+                // Drained inside the window: stop where a cycle-by-cycle
+                // drain stops, independent of the window width.
                 last_active + 1
             } else {
                 t0 + w
             };
-            self.cycles_stepped += self.cycle - t0;
+            if pooled {
+                self.cycles_stepped += self.cycle - t0;
+            }
         }
     }
 } // mod shard
@@ -2289,8 +2354,9 @@ pub struct MemoryBreakdown {
     pub links: usize,
     /// The fabric-wide atomic credit mirror plus its queue offsets.
     pub credit_view: usize,
-    /// Fabric scheduling: arrival wheel, active worklists, probe and
-    /// departure scratch, shard scratch, and the delivery log.
+    /// Fabric scheduling: arrival wheel, active worklists, shard
+    /// partition tables, shard scratch (epoch schedules, probe and
+    /// departure buffers), and the delivery log.
     pub scheduling: usize,
     /// Telemetry counters, epoch rings, and trace buffer (0 when off).
     pub telemetry: usize,
@@ -2339,8 +2405,8 @@ pub struct RouterFabric {
     /// lets [`Self::set_shards`] arbitrate regions concurrently: probes
     /// see the same credits no matter which thread (or order) asks.
     /// Atomic so shard workers can read any entry while each mutates
-    /// only its own routers' entries; the serial steppers use plain
-    /// load/store orderings on the same array.
+    /// only its own routers' entries; unsharded stepping and the
+    /// reference stepper use the same relaxed operations on one thread.
     credit_view: Vec<AtomicU32>,
     route: Box<RouteFn>,
     /// Optional per-flit class extraction feeding each channel's
@@ -2357,19 +2423,6 @@ pub struct RouterFabric {
     /// wheel length always exceeds the longest link latency (grown by
     /// [`Self::set_link_spec`]), so a slot never mixes cycles.
     arrival_wheel: Vec<Vec<(u64, u32, u32)>>,
-    /// Reusable per-router credit-probe buffer (`[out * vcs + vc]`);
-    /// only the entries probed this cycle are written or read.
-    scratch_ok: Vec<bool>,
-    /// Generation stamp per probe entry: an entry is valid for the
-    /// current (router, cycle) iff its stamp equals `probe_gen`, so
-    /// repeated probes of one (out, vc) pair compute the credit check
-    /// once without any per-cycle clearing.
-    scratch_gen: Vec<u64>,
-    /// The current probe generation (bumped once per arbitrated router).
-    probe_gen: u64,
-    /// Reusable departure buffer (`(router, out, flit)`), persisted
-    /// across cycles to keep the step phase allocation-free.
-    moves: Vec<(usize, usize, Flit)>,
     /// Active-router worklist: every non-idle router is on it (routers
     /// enqueue themselves on accept/injection and are pruned when idle).
     active: Vec<usize>,
@@ -2392,14 +2445,17 @@ pub struct RouterFabric {
     link_off: Vec<usize>,
     /// Per-shard worker scratch (epoch schedules, worklists, departures,
     /// stall events, credit-probe buffers), filled by the epoch prologue
-    /// and merged serially after the epoch barrier.
+    /// and merged serially after the epoch barrier. Emptied by each
+    /// partition and sized by the first epoch after it, so a fresh
+    /// fabric pays nothing for it.
     shard_scratch: Vec<ShardScratch>,
     /// Every router-to-router link whose ends live in different shards,
     /// in ascending link order (empty when unsharded). Drives the epoch
     /// window's credit-headroom clamp and the shadow refresh.
     boundary: Vec<shard::BoundaryLink>,
     /// Per-link first shadow slot (`u32::MAX` for links that do not
-    /// cross a shard boundary); parallel to the flat link index space.
+    /// cross a shard boundary); parallel to the flat link index space
+    /// when sharded, empty when unsharded (no link crosses a boundary).
     boundary_slot: Vec<u32>,
     /// Boundary credit shadows, one slot per boundary `(link, vc)`:
     /// refreshed from `credit_view` at each epoch prologue, debited by
@@ -2417,15 +2473,18 @@ pub struct RouterFabric {
     /// Epoch-prologue schedule of endpoint landings inside the window,
     /// `(cycle, flit)` ascending; drained by the merge epilogue.
     land_sched: Vec<(u64, Flit)>,
-    /// Synchronization operations spent on the epoch path: one pool
+    /// Synchronization operations spent by pooled epochs: one pool
     /// launch plus one barrier crossing per epoch (the per-cycle
-    /// protocol cost five per simulated cycle).
+    /// protocol cost five per simulated cycle). Unsharded epochs run
+    /// inline and spend none.
     sync_ops: u64,
-    /// Lookahead epochs executed.
+    /// Pooled lookahead epochs executed.
     epochs: u64,
-    /// Simulated cycles advanced by the epoch path.
+    /// Simulated cycles advanced by pooled epochs.
     cycles_stepped: u64,
-    /// Worker threads driving shards `1..` (None when `shards == 1`).
+    /// Worker threads driving shards `1..`. `None` when unsharded: the
+    /// stepping thread then runs the single shard's epoch inline, with
+    /// no launch and no barrier.
     pool: Option<ShardPool>,
 }
 
@@ -2484,7 +2543,7 @@ impl RouterFabric {
             loff += row.len();
         }
         link_off.push(loff);
-        RouterFabric {
+        let mut fabric = RouterFabric {
             routers,
             wiring,
             channels,
@@ -2498,14 +2557,10 @@ impl RouterFabric {
             delivered: Vec::new(),
             in_flight_total: 0,
             arrival_wheel: vec![Vec::new()],
-            scratch_ok: Vec::new(),
-            scratch_gen: Vec::new(),
-            probe_gen: 0,
-            moves: Vec::new(),
             active: Vec::new(),
             is_active: vec![false; n],
             telemetry: None,
-            bounds: vec![0, n],
+            bounds: Vec::new(),
             link_off,
             shard_scratch: Vec::new(),
             boundary: Vec::new(),
@@ -2518,7 +2573,9 @@ impl RouterFabric {
             epochs: 0,
             cycles_stepped: 0,
             pool: None,
-        }
+        };
+        fabric.partition(1, None);
+        fabric
     }
 
     /// Enables telemetry recording from the current cycle: stall-cause
@@ -2593,9 +2650,6 @@ impl RouterFabric {
                 .sum::<usize>()
             + (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
             + self.is_active.capacity()
-            + self.scratch_ok.capacity()
-            + self.scratch_gen.capacity() * size_of::<u64>()
-            + self.moves.capacity() * size_of::<(usize, usize, Flit)>()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
             + self.land_sched.capacity() * size_of::<(u64, Flit)>()
             + self.boundary.capacity() * size_of::<shard::BoundaryLink>()
@@ -2791,12 +2845,11 @@ impl RouterFabric {
         }
     }
 
-    /// Phase 1 of a step, shared by both steppers: link arrivals due
-    /// this cycle land in their downstream queues (activating the
-    /// accepting router) or in the delivery log, visiting exactly the
-    /// links the arrival wheel has scheduled for this cycle. Credits
-    /// were reserved at departure, so acceptance cannot overflow the
-    /// queue.
+    /// Phase 1 of a reference step: link arrivals due this cycle land
+    /// in their downstream queues (activating the accepting router) or
+    /// in the delivery log, visiting exactly the links the arrival wheel
+    /// has scheduled for this cycle. Credits were reserved at departure,
+    /// so acceptance cannot overflow the queue.
     fn land_arrivals(&mut self, cycle: u64) {
         if self.in_flight_total == 0 {
             return;
@@ -2839,10 +2892,10 @@ impl RouterFabric {
         self.arrival_wheel[slot] = bucket;
     }
 
-    /// Phase 3 of a step, shared by both steppers: departures enter
-    /// their links (same-cycle for latency-0 links), counters update,
-    /// ejections are recorded, and same-cycle accepts activate their
-    /// routers. Drains `moves` in place.
+    /// Phase 3 of a reference step: departures enter their links
+    /// (same-cycle for latency-0 links), counters update, ejections are
+    /// recorded, and same-cycle accepts activate their routers. Drains
+    /// `moves` in place.
     fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, Flit)>, cycle: u64) {
         for (r, out, flit) in moves.drain(..) {
             let class = self.classify.as_deref().map(|f| f(&flit));
@@ -2883,11 +2936,11 @@ impl RouterFabric {
         }
     }
 
-    /// Telemetry pre-phase, shared by both steppers: clamps the
-    /// delivery-trace watermark after any caller drain, and flushes the
-    /// per-link epoch ring when this cycle has crossed an epoch
-    /// boundary (sampling each link's occupancy — in-flight flits plus
-    /// the downstream queue — at the boundary).
+    /// Telemetry pre-phase of every step (reference steps and epoch
+    /// prologues alike): clamps the delivery-trace watermark after any
+    /// caller drain, and flushes the per-link epoch ring when this cycle
+    /// has crossed an epoch boundary (sampling each link's occupancy —
+    /// in-flight flits plus the downstream queue — at the boundary).
     fn telemetry_begin_step(&mut self) {
         let cycle = self.cycle;
         let delivered_len = self.delivered.len();
@@ -2914,9 +2967,11 @@ impl RouterFabric {
         tel.roll(cycle, occ);
     }
 
-    /// Telemetry recording, shared by both steppers. Runs
-    /// post-arbitration, pre-[`Self::apply_moves`]: departed flits are
-    /// already popped from their queues, but the link timers
+    /// Telemetry recording of a reference step (the epoch loop
+    /// classifies stalls privately per shard and replays them in its
+    /// merge epilogue). Runs post-arbitration,
+    /// pre-[`Self::apply_moves`]: departed flits are already popped from
+    /// their queues, but the link timers
     /// (`next_free`) and credit reservations (`reserved`) still hold
     /// the state this cycle's arbitration read. Each departure marks
     /// its link's advance cycle; every occupied queue front is then
@@ -2989,8 +3044,9 @@ impl RouterFabric {
         }
     }
 
-    /// Telemetry post-phase, shared by both steppers: emits `Deliver`
-    /// trace events for this step's new delivery-log entries.
+    /// Telemetry post-phase of every step (reference steps and epoch
+    /// epilogues alike): emits `Deliver` trace events for this step's
+    /// new delivery-log entries.
     fn telemetry_note_deliveries(&mut self) {
         if let Some(tel) = self.telemetry.as_deref_mut() {
             tel.note_deliveries(&self.delivered);
@@ -3000,134 +3056,24 @@ impl RouterFabric {
     /// Advances the fabric one cycle: link arrivals land, every router
     /// **with work** arbitrates (the active worklist — idle routers are
     /// never visited), departures enter their links (same-cycle for
-    /// latency-0 links), ejections are recorded. Produces bit-identical
-    /// results to [`Self::step_reference`] — at every shard count
-    /// configured via [`Self::set_shards`], which routes this call to
-    /// the region-partitioned stepper.
+    /// latency-0 links), ejections are recorded. This is a one-cycle
+    /// lookahead epoch — inline on this thread when unsharded, on the
+    /// worker pool configured via [`Self::set_shards`] otherwise — and
+    /// produces bit-identical results to [`Self::step_reference`] at
+    /// every shard count.
     pub fn step(&mut self) {
-        if self.pool.is_some() {
-            // A degenerate one-cycle epoch: still one launch plus one
-            // barrier instead of the retired per-cycle protocol's five
-            // synchronization points.
-            let limit = self.cycle + 1;
-            self.step_epoch(limit, false);
-        } else {
-            self.step_event();
-        }
-    }
-
-    /// The single-threaded event-driven step (shard count 1).
-    fn step_event(&mut self) {
-        let cycle = self.cycle;
-        if self.telemetry.is_some() {
-            self.telemetry_begin_step();
-        }
-        self.land_arrivals(cycle);
-
-        // 2. Arbitration over the active worklist. Downstream-credit
-        //    probes run against the link state (single-cycle credit
-        //    latency is folded into the pipeline constant) and count
-        //    credits reserved by in-flight flits, computed only for the
-        //    (out, vc) pairs this cycle's candidates and owners can ask
-        //    about. Idle routers are pruned from the worklist here.
-        let mut moves = std::mem::take(&mut self.moves);
-        debug_assert!(moves.is_empty(), "stale departure buffer");
-        if !self.active.is_empty() {
-            let mut active = std::mem::take(&mut self.active);
-            let mut scratch = std::mem::take(&mut self.scratch_ok);
-            let mut scratch_gen = std::mem::take(&mut self.scratch_gen);
-            // Ascending router order keeps the departure order — and so
-            // the same-cycle delivery order — identical to the full scan.
-            active.sort_unstable();
-            let mut kept = 0;
-            for i in 0..active.len() {
-                let r = active[i];
-                if self.routers[r].is_idle() {
-                    self.is_active[r] = false;
-                    continue;
-                }
-                active[kept] = r;
-                kept += 1;
-                self.routers[r].mature(cycle, &*self.route);
-                let vcs = self.routers[r].vcs;
-                let need = self.wiring[r].len() * vcs;
-                if scratch.len() < need {
-                    scratch.resize(need, false);
-                    scratch_gen.resize(need, 0);
-                }
-                self.probe_gen += 1;
-                let gen = self.probe_gen;
-                let next_free_r = &self.next_free[r];
-                let reserved_r = &self.reserved[r];
-                {
-                    let wiring = &self.wiring[r];
-                    let queue_off = &self.queue_off;
-                    let credit_view = &self.credit_view;
-                    let scratch = &mut scratch;
-                    let scratch_gen = &mut scratch_gen;
-                    self.routers[r].for_each_probe(
-                        |out| next_free_r[out] <= cycle,
-                        |out, vc| {
-                            let i = out * vcs + vc as usize;
-                            if scratch_gen[i] == gen {
-                                return; // already probed this router-cycle
-                            }
-                            scratch_gen[i] = gen;
-                            let serializable = next_free_r[out] <= cycle;
-                            scratch[i] = match wiring[out] {
-                                PortLink::Router { router, port } => {
-                                    serializable
-                                        && (reserved_r[i] as usize)
-                                            < credit_view
-                                                [queue_off[router] + port * vcs + vc as usize]
-                                                .load(Ordering::Relaxed)
-                                                as usize
-                                }
-                                PortLink::Endpoint(_) => serializable,
-                                PortLink::Unused => false,
-                            };
-                        },
-                    );
-                }
-                self.routers[r].arbitrate_into(
-                    cycle,
-                    |out| next_free_r[out] <= cycle,
-                    |out, vc| scratch[out * vcs + vc as usize],
-                    &mut moves,
-                );
-            }
-            active.truncate(kept);
-            self.active = active;
-            self.scratch_ok = scratch;
-            self.scratch_gen = scratch_gen;
-        }
-
-        if self.telemetry.is_some() {
-            self.telemetry_record(&moves, cycle);
-        }
-        self.apply_moves(&mut moves, cycle);
-        // Departures return their credits only now — uniformly one cycle
-        // later, never mid-arbitration (see `credit_view`). Only routers
-        // that arbitrated can have parked credits, and all of those are
-        // still on the worklist this cycle.
-        for i in 0..self.active.len() {
-            let r = self.active[i];
-            self.return_credits(r);
-        }
-        if self.telemetry.is_some() {
-            self.telemetry_note_deliveries();
-        }
-        self.moves = moves;
-        self.cycle += 1;
+        let limit = self.cycle + 1;
+        self.step_epoch(limit, false);
     }
 
     /// Advances the fabric one cycle with the retained **reference**
     /// stepper: the pre-worklist full scan over every router, snapshotting
     /// downstream credits for all ports × VCs and arbitrating via
     /// [`CycleRouter::tick`]. Kept as the executable specification of
-    /// [`Self::step`] — the `stepper_equivalence` property tests (and
-    /// the `bench_fabric` speedup harness) run the two side by side and
-    /// require identical delivery logs and link counters. The two may be
+    /// [`Self::step`], and the only stepper outside the epoch loop — the
+    /// `stepper_equivalence` property tests (and the `bench_fabric`
+    /// speedup harness) run the two side by side and require identical
+    /// delivery logs and link counters. The two may be
     /// freely interleaved on one fabric.
     pub fn step_reference(&mut self) {
         let cycle = self.cycle;
@@ -3191,8 +3137,8 @@ impl RouterFabric {
     }
 
     /// Applies the credits parked by router `r`'s departures this cycle
-    /// (its drained `popped` list) to the credit mirror — the uniform
-    /// end-of-cycle credit return both steppers share.
+    /// (its drained `popped` list) to the credit mirror — the reference
+    /// stepper's uniform end-of-cycle credit return.
     fn return_credits(&mut self, r: usize) {
         let off = self.queue_off[r];
         for idx in self.routers[r].popped.drain(..) {
@@ -3211,7 +3157,8 @@ impl RouterFabric {
     }
 
     /// The number of contiguous router regions [`Self::step`] advances
-    /// in parallel (1 = the single-threaded event-driven stepper).
+    /// in parallel (1 = the epoch loop runs inline on the stepping
+    /// thread, with no worker pool).
     pub fn shards(&self) -> usize {
         self.bounds.len() - 1
     }
@@ -3227,19 +3174,21 @@ impl RouterFabric {
     }
 
     /// Synchronization operations (pool launches + barrier crossings)
-    /// spent by the sharded epoch stepper since construction. Zero on a
-    /// never-sharded fabric.
+    /// spent by the sharded epoch stepper since construction. 0 when
+    /// unsharded: one shard's epochs run inline and synchronize nothing.
     pub fn sync_ops(&self) -> u64 {
         self.sync_ops
     }
 
-    /// Lookahead epochs executed since construction.
+    /// Lookahead epochs run on the worker pool since construction; 0
+    /// when unsharded.
     pub fn epochs(&self) -> u64 {
         self.epochs
     }
 
-    /// Simulated cycles advanced by the epoch stepper since
-    /// construction (the denominator for sync-ops-per-cycle metrics).
+    /// Simulated cycles advanced by pooled epochs since construction
+    /// (the denominator for sync-ops-per-cycle metrics); 0 when
+    /// unsharded.
     pub fn cycles_stepped(&self) -> u64 {
         self.cycles_stepped
     }
@@ -3254,15 +3203,16 @@ impl RouterFabric {
 
     /// Re-partitions the fabric into `shards` contiguous router regions
     /// stepped in parallel by a persistent worker pool, exchanging
-    /// cross-shard effects at lookahead-epoch barriers only. Results
+    /// cross-shard effects at lookahead-epoch barriers only (one shard
+    /// runs the same epoch loop inline, with no pool). Results
     /// stay bit-identical to [`Self::step_reference`] at every shard
     /// count and every window: the cycle-start-stable credit mirror
     /// makes arbitration outcomes independent of router visit order,
     /// link latency ≥ 1 bounds the epoch window so no departure can
     /// land inside its own window, the per-boundary credit shadow (with
     /// its headroom clamp on the window) reproduces every probe the
-    /// serial credit loop would answer, and the serial merge epilogue
-    /// replays per-shard outputs in the serial (cycle, ascending
+    /// reference credit loop would answer, and the serial merge epilogue
+    /// replays per-shard outputs in the reference (cycle, ascending
     /// router) order.
     ///
     /// `lookahead` caps the epoch window below the structural bound —
@@ -3313,25 +3263,8 @@ impl RouterFabric {
                 }
             }
         }
-        self.pool = None; // joins any previous workers first
-        self.bounds = (0..=shards).map(|s| s * n / shards).collect();
-        debug_assert!(
-            self.bounds.windows(2).all(|b| b[0] < b[1]),
-            "shards <= routers must yield non-empty regions"
-        );
-        self.lookahead_cap = lookahead;
-        self.shard_scratch = (0..shards)
-            .map(|s| {
-                ShardScratch::new(
-                    self.link_off[self.bounds[s]],
-                    self.link_off[self.bounds[s + 1]],
-                )
-            })
-            .collect();
-
-        // Exact recompute of the structural lookahead bound, then the
-        // boundary tables: every router-to-router link whose ends fall in
-        // different regions gets a per-VC credit-shadow slot.
+        // Exact recompute of the structural lookahead bound, which
+        // `set_link_spec` only keeps conservatively.
         self.min_pos_latency = u64::MAX;
         for row in &self.channels {
             for ch in row {
@@ -3340,11 +3273,34 @@ impl RouterFabric {
                 }
             }
         }
-        self.boundary.clear();
-        self.boundary_slot.clear();
-        self.boundary_slot.resize(self.link_off[n], u32::MAX);
-        self.shadow.clear();
+        self.partition(shards, lookahead);
+        debug_assert!(
+            self.bounds.windows(2).all(|b| b[0] < b[1]),
+            "shards <= routers must yield non-empty regions"
+        );
+        Ok(())
+    }
+
+    /// Installs a validated partition on a drained fabric — the one
+    /// initializer of the shard state, shared by [`Self::new`] (one
+    /// shard) and [`Self::set_shards_with_lookahead`]: region bounds,
+    /// the window cap, the boundary tables (empty unless sharded), a
+    /// clean worklist, and the worker pool (none unless sharded).
+    /// Per-shard scratch is left for the first epoch to size.
+    fn partition(&mut self, shards: usize, lookahead: Option<u64>) {
+        let n = self.routers.len();
+        self.pool = None; // joins any previous workers first
+        self.bounds = (0..=shards).map(|s| s * n / shards).collect();
+        self.lookahead_cap = lookahead;
+        self.shard_scratch = Vec::new();
+
+        // The boundary tables: every router-to-router link whose ends
+        // fall in different regions gets a per-VC credit-shadow slot.
+        self.boundary = Vec::new();
+        self.boundary_slot = Vec::new();
+        self.shadow = Vec::new();
         if shards > 1 {
+            self.boundary_slot.resize(self.link_off[n], u32::MAX);
             for (r, row) in self.wiring.iter().enumerate() {
                 for (port, link) in row.iter().enumerate() {
                     let PortLink::Router {
@@ -3379,7 +3335,6 @@ impl RouterFabric {
         if shards > 1 {
             self.pool = Some(ShardPool::new(shards));
         }
-        Ok(())
     }
 
     /// The earliest pending link-arrival cycle, if any flit is in flight.
@@ -3424,9 +3379,9 @@ impl RouterFabric {
         self.step_ahead(limit, false);
     }
 
-    /// Shared event-driven advance: the dead-cycle jump plus either a
-    /// serial step or a lookahead epoch (`stop_at_delivery` as in
-    /// [`shard`]'s `step_epoch`).
+    /// Shared event-driven advance: the dead-cycle jump plus one
+    /// lookahead epoch (`stop_at_delivery` as in [`shard`]'s
+    /// `step_epoch`).
     fn step_ahead(&mut self, limit: u64, stop_at_delivery: bool) {
         if self.cycle >= limit {
             return;
@@ -3442,20 +3397,7 @@ impl RouterFabric {
                 }
             }
         }
-        if self.pool.is_some() {
-            self.step_epoch(limit, stop_at_delivery);
-        } else {
-            self.step_event();
-        }
-    }
-
-    /// Advances the fabric to `target` exactly as repeated [`Self::step`]
-    /// calls would, fast-forwarding through dead time between link
-    /// arrivals (see [`Self::step_next_event`]).
-    pub fn step_until(&mut self, target: u64) {
-        while self.cycle < target {
-            self.step_next_event(target);
-        }
+        self.step_epoch(limit, stop_at_delivery);
     }
 
     /// Total flits resident in the fabric: router queues plus link
@@ -3849,7 +3791,7 @@ mod tests {
     }
 
     #[test]
-    fn step_until_matches_per_cycle_stepping_over_dead_time() {
+    fn step_next_event_matches_per_cycle_stepping_over_dead_time() {
         // A 40-cycle link: the event stepper jumps the dead wire time;
         // delivered cycles and the final clock must match per-cycle
         // stepping exactly.
@@ -3873,7 +3815,9 @@ mod tests {
             by_cycle.step();
         }
         let mut by_event = build();
-        by_event.step_until(120);
+        while by_event.cycle() < 120 {
+            by_event.step_next_event(120);
+        }
         assert_eq!(by_event.cycle(), 120);
         assert_eq!(by_event.cycle(), by_cycle.cycle());
         assert_eq!(by_event.delivered(), by_cycle.delivered());
@@ -3885,29 +3829,65 @@ mod tests {
         // Same injection schedule through both steppers: identical logs.
         // (The broad random-shape equivalence proptest lives in
         // tests/stepper_equivalence.rs; this is the in-module smoke.)
-        let mut fast = build_row(6, 2, 2);
-        let mut naive = build_row(6, 2, 2);
+        // Every link of both fabrics has latency 0: hops land in the
+        // cycle they depart, and batched windows span many cycles.
+        use crate::edge::{build_edge_network, PORT_LOCAL};
+        use anton_model::asic::{EDGE_COLS, EDGE_ROWS, EDGE_VCS};
+        let row =
+            |t: u64| (t % 3 != 2).then(|| (0, 0, flit(t, 0, 1, (t % 6) as u32, (t % 2) as u8)));
+        let n = (EDGE_ROWS * EDGE_COLS) as u64;
+        let edge = |t: u64| {
+            let f = flit(
+                t,
+                0,
+                1,
+                ((t * 11 + 5) % n) as u32,
+                (t % EDGE_VCS as u64) as u8,
+            );
+            Some(((t * 7 % n) as usize, PORT_LOCAL, f))
+        };
+        for batched in [false, true] {
+            assert_matches_reference(|| build_row(6, 2, 2), row, batched);
+            assert_matches_reference(build_edge_network, edge, batched);
+        }
+    }
+
+    /// Offers `inject(t)` for 400 rounds to a fabric advanced by `step`
+    /// (or, `batched`, by 7-cycle `step_batched` windows) and to one
+    /// stepped by `step_reference` through the same cycles, drains both,
+    /// and requires identical clocks, delivery logs and link counters.
+    fn assert_matches_reference(
+        build: impl Fn() -> RouterFabric,
+        inject: impl Fn(u64) -> Option<(usize, usize, Flit)>,
+        batched: bool,
+    ) {
+        let (mut fast, mut naive) = (build(), build());
         for t in 0..400u64 {
-            if t % 3 != 2 {
-                let f = flit(t, 0, 1, (t % 6) as u32, (t % 2) as u8);
-                let a = fast.inject(0, 0, f).is_ok();
-                let b = naive.inject(0, 0, f).is_ok();
-                assert_eq!(a, b, "cycle {t}: injection acceptance diverged");
+            if let Some((r, port, f)) = inject(t) {
+                let a = fast.inject(r, port, f).is_ok();
+                let b = naive.inject(r, port, f).is_ok();
+                assert_eq!(a, b, "round {t}: injection acceptance diverged");
             }
-            fast.step();
-            naive.step_reference();
+            match batched {
+                true => fast.step_batched(fast.cycle() + 7),
+                false => fast.step(),
+            }
+            while naive.cycle() < fast.cycle() {
+                naive.step_reference();
+            }
         }
         assert!(fast.run_until_drained(1_000));
         while naive.occupancy() > 0 {
             naive.step_reference();
         }
+        assert_eq!(fast.cycle(), naive.cycle(), "drain clocks diverged");
         assert_eq!(fast.delivered(), naive.delivered());
-        for r in 0..6 {
-            for port in 0..3 {
+        for (r, row) in fast.wiring.iter().enumerate() {
+            for port in 0..row.len() {
                 assert_eq!(
                     fast.link_traffic(r, port),
                     naive.link_traffic(r, port),
-                    "link ({r}, {port}) counters diverged"
+                    "link ({r}, {port}) counters diverged (batched: {batched})"
                 );
             }
         }
@@ -3991,7 +3971,7 @@ mod tests {
         assert!(f.set_shards(2).is_ok());
         assert_eq!(f.lookahead(), 1);
         // The cap is part of the partition config, accepted on a single
-        // shard too (where the serial stepper simply ignores it).
+        // shard too (whose inline epoch loop honors it like any other).
         assert!(f.set_shards_with_lookahead(1, Some(3)).is_ok());
         assert_eq!(f.shards(), 1);
     }

@@ -90,11 +90,12 @@ pub struct ConfigEcho {
     /// Telemetry epoch length in cycles; 0 when telemetry was disabled.
     pub epoch_cycles: u64,
     /// Synchronization operations (pool launches + epoch barriers)
-    /// spent by the sharded stepper, summed over every point fabric in
-    /// the sweep; 0 on the single-threaded path.
+    /// spent by the sharded stepper's worker pool, summed over every
+    /// point fabric in the sweep; 0 at one shard, whose epochs run
+    /// inline and synchronize nothing.
     pub sync_ops: u64,
-    /// Lookahead epochs executed, summed over every point fabric; 0 on
-    /// the single-threaded path.
+    /// Lookahead epochs run on the worker pool, summed over every point
+    /// fabric; 0 at one shard.
     pub epochs: u64,
 }
 
@@ -121,8 +122,9 @@ pub struct SweepConfig {
     /// roughly double the carried load at a given offered rate.
     pub respond: bool,
     /// Worker shards the fabric step is partitioned across
-    /// ([`TorusFabric::set_shards`]); 1 runs the single-threaded
-    /// event core. Sharding is an execution strategy, not a model
+    /// ([`TorusFabric::set_shards`]); 1 runs the same lookahead-epoch
+    /// loop inline on the sweep's thread, with no worker pool or
+    /// barrier. Sharding is an execution strategy, not a model
     /// parameter: every measurement is bit-identical at any shard
     /// count.
     pub shards: usize,
