@@ -766,6 +766,34 @@ mod tests {
     }
 
     #[test]
+    fn step_timing_and_traffic_are_bit_pinned() {
+        // Produced by commit 2bac2ea, whose force kernel computed every
+        // displacement with `System::min_image`.
+        let mut r = MdNetworkRun::new(MachineConfig::torus([2, 2, 2]), 3000, 7, false);
+        let steps: Vec<(u64, u64)> = (0..3)
+            .map(|_| {
+                let t = r.step();
+                (t.pairwise_step.0, t.app_step.0)
+            })
+            .collect();
+        assert_eq!(
+            steps,
+            vec![(647840, 930816), (583509, 865896), (584965, 867548)]
+        );
+        assert_eq!(
+            r.machine.total_stats(),
+            LinkStats {
+                packets: 36935,
+                baseline_bytes: 1265448,
+                wire_bytes: 595945,
+                position_bytes: 227952,
+                force_bytes: 358777,
+                other_bytes: 9216,
+            }
+        );
+    }
+
+    #[test]
     fn step_times_are_stable() {
         let mut r = MdNetworkRun::new(MachineConfig::torus([2, 2, 2]), 3000, 7, false);
         let a = r.step();

@@ -4,6 +4,16 @@
 //! separated by less than the cutoff radius, evaluate a pairwise force.
 //! We use a cutoff-shifted Lennard-Jones potential (energy continuous at
 //! the cutoff) and a cell list so force evaluation is O(N).
+//!
+//! The cell-list kernel [`compute_forces`] finds each candidate pair's
+//! periodic image without a division or a `round`. For positions in
+//! `[0, L]` a displacement `dk` lies in `[-L, L]`, so
+//! [`System::min_image`]'s `(dk / L).round()` is −1, 0 or 1. Division and
+//! `round` are monotone and odd-symmetric, so that image is decided by one
+//! per-box threshold `h` — the smallest `dk >= 0` with
+//! `(dk / L).round() >= 1` — and the kernel's displacements are
+//! bit-identical to `min_image`'s. [`compute_forces_naive`] keeps calling
+//! `min_image` and stays the oracle.
 
 use crate::system::{System, WaterParams};
 
@@ -55,10 +65,11 @@ impl CellList {
         (c[2] * dims[1] + c[1]) * dims[0] + c[0]
     }
 
-    /// Iterates over the 27-cell neighborhood (with wraparound) of cell
-    /// `c`, deduplicated when the grid is narrower than three cells.
-    fn neighborhood(&self, c: [usize; 3]) -> Vec<usize> {
-        let mut out = Vec::with_capacity(27);
+    /// The 27-cell neighborhood (with wraparound) of cell `c` and its
+    /// length, deduplicated when the grid is narrower than three cells.
+    fn neighborhood(&self, c: [usize; 3]) -> ([usize; 27], usize) {
+        let mut out = [0usize; 27];
+        let mut len = 0;
         for dz in -1i64..=1 {
             for dy in -1i64..=1 {
                 for dx in -1i64..=1 {
@@ -68,19 +79,70 @@ impl CellList {
                         (c[2] as i64 + dz).rem_euclid(self.dims[2] as i64) as usize,
                     ];
                     let idx = Self::index(self.dims, n);
-                    if !out.contains(&idx) {
-                        out.push(idx);
+                    if !out[..len].contains(&idx) {
+                        out[len] = idx;
+                        len += 1;
                     }
                 }
             }
         }
-        out
+        (out, len)
     }
 }
 
+/// The smallest `dk >= 0` that [`System::min_image`] wraps in a box
+/// dimension of length `l`, i.e. with `(dk / l).round() >= 1.0`.
+///
+/// `(0.5 * l) / l` is exactly 0.5, which rounds to 1, so the search starts
+/// there and steps down one ulp while the value below still rounds to 1.
+/// For every normal `l` it stops at once, since `next_down(0.5 * l) / l`
+/// rounds to below 0.5; searching keeps `h` defined by `round` itself
+/// rather than by that argument.
+fn image_threshold(l: f64) -> f64 {
+    let mut h = 0.5 * l;
+    while (h.next_down() / l).round() >= 1.0 {
+        h = h.next_down();
+    }
+    h
+}
+
+/// [`System::min_image`]'s displacement for one dimension, given the
+/// box length `l` and its [`image_threshold`] `h`. Requires
+/// `-l <= dk <= l`, where `(dk / l).round()` is −1, 0 or 1.
+#[inline]
+fn image(dk: f64, l: f64, h: f64) -> f64 {
+    // `min_image` subtracts `l * (dk / l).round()`. Subtracting -0.0 in
+    // the middle band matches its ±0.0 for every `dk`, signed zeros
+    // included.
+    let shift = if dk >= h {
+        l
+    } else if dk <= -h {
+        -l
+    } else {
+        -0.0
+    };
+    dk - shift
+}
+
 /// Evaluates cutoff-shifted Lennard-Jones forces using a cell list.
+///
+/// Bit-identical to evaluating every candidate pair with
+/// [`System::min_image`], without its per-pair division and `round`:
+/// each dimension's image is selected by comparing the displacement with
+/// a threshold computed once per call (see the [module docs](self)).
+/// Requires every position to lie in `[0, box_len]`, as [`System::pos`]
+/// documents and [`Simulation::step`](crate::integrate::Simulation::step)
+/// maintains.
 pub fn compute_forces(sys: &System, params: &WaterParams) -> Forces {
+    debug_assert!(
+        sys.pos
+            .iter()
+            .all(|r| (0..3).all(|k| (0.0..=sys.box_len[k]).contains(&r[k]))),
+        "positions must lie in [0, box_len]"
+    );
     let list = CellList::build(sys, params.cutoff);
+    let l = sys.box_len;
+    let h = l.map(image_threshold);
     let mut f = vec![[0.0f64; 3]; sys.n];
     let mut potential = 0.0;
     let mut pair_count = 0u64;
@@ -95,7 +157,8 @@ pub fn compute_forces(sys: &System, params: &WaterParams) -> Forces {
         for cy in 0..list.dims[1] {
             for cx in 0..list.dims[0] {
                 let home = CellList::index(list.dims, [cx, cy, cz]);
-                for &nb in &list.neighborhood([cx, cy, cz]) {
+                let (nbs, len) = list.neighborhood([cx, cy, cz]);
+                for &nb in &nbs[..len] {
                     // Visit each cell pair once (home <= nb); within the
                     // home cell, use i < j.
                     if nb < home {
@@ -103,9 +166,19 @@ pub fn compute_forces(sys: &System, params: &WaterParams) -> Forces {
                     }
                     for (ai, &i) in list.cells[home].iter().enumerate() {
                         let start = if nb == home { ai + 1 } else { 0 };
+                        let i = i as usize;
+                        let ri = sys.pos[i];
+                        // j != i within one pass, so f[i] can live in a
+                        // local and be stored once.
+                        let mut fi = f[i];
                         for &j in &list.cells[nb][start..] {
-                            let (i, j) = (i as usize, j as usize);
-                            let d = sys.min_image(sys.pos[i], sys.pos[j]);
+                            let j = j as usize;
+                            let rj = sys.pos[j];
+                            let d = [
+                                image(rj[0] - ri[0], l[0], h[0]),
+                                image(rj[1] - ri[1], l[1], h[1]),
+                                image(rj[2] - ri[2], l[2], h[2]),
+                            ];
                             let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
                             if r2 >= rc2 || r2 == 0.0 {
                                 continue;
@@ -119,10 +192,11 @@ pub fn compute_forces(sys: &System, params: &WaterParams) -> Forces {
                             let fmag_over_r = 24.0 * params.epsilon * (2.0 * sr12 - sr6) / r2;
                             for k in 0..3 {
                                 let fk = fmag_over_r * d[k];
-                                f[i][k] -= fk;
+                                fi[k] -= fk;
                                 f[j][k] += fk;
                             }
                         }
+                        f[i] = fi;
                     }
                 }
             }
@@ -175,11 +249,57 @@ pub fn compute_forces_naive(sys: &System, params: &WaterParams) -> Forces {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrate::Simulation;
     use crate::system::System;
 
     fn small() -> (System, WaterParams) {
         let p = WaterParams::default();
         (System::water_box(300, &p, 7), p)
+    }
+
+    /// FNV-1a over 64-bit words: folds exact bit patterns into one value.
+    fn fold(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    /// Digest of every force component's bits, the potential's bits and
+    /// the pair count.
+    fn force_digest(forces: &Forces) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for f in &forces.f {
+            for fk in f {
+                h = fold(h, fk.to_bits());
+            }
+        }
+        h = fold(h, forces.potential.to_bits());
+        fold(h, forces.pair_count)
+    }
+
+    #[test]
+    fn forces_are_bit_pinned() {
+        // (atoms, cells per dimension, digest at step 0, digest after 5
+        // steps). Produced by commit 2bac2ea, whose kernel computed every
+        // displacement with `System::min_image`.
+        let cases: [(usize, usize, u64, u64); 3] = [
+            (100, 1, 0xdce4_6fcd_72d2_ac57, 0x2c0d_2a4b_3a05_3278),
+            (300, 2, 0x6422_e955_0afa_5d0a, 0x5775_30bd_a105_9690),
+            (3000, 4, 0x9c1d_ae82_ebf4_e3f2, 0xb341_0625_645b_ac7e),
+        ];
+        for (n, cells, at0, at5) in cases {
+            let mut sim = Simulation::water(n, 21);
+            assert_eq!(
+                CellList::build(&sim.system, sim.params.cutoff).dims,
+                [cells; 3]
+            );
+            let d0 = force_digest(&sim.forces);
+            sim.run(5);
+            let d5 = force_digest(&sim.forces);
+            assert_eq!(
+                (d0, d5),
+                (at0, at5),
+                "{n} atoms: digests {d0:#018x} / {d5:#018x}"
+            );
+        }
     }
 
     #[test]
@@ -199,14 +319,55 @@ mod tests {
 
     #[test]
     fn cell_list_matches_naive() {
-        let (sys, p) = small();
-        let fast = compute_forces(&sys, &p);
-        let slow = compute_forces_naive(&sys, &p);
-        assert_eq!(fast.pair_count, slow.pair_count, "pair counts differ");
-        assert!((fast.potential - slow.potential).abs() < 1e-9);
-        for (a, b) in fast.f.iter().zip(&slow.f) {
-            for k in 0..3 {
-                assert!((a[k] - b[k]).abs() < 1e-9);
+        let p = WaterParams::default();
+        for (n, cells) in [(100, 1), (300, 2), (3000, 4)] {
+            let mut sim = Simulation::water(n, 17);
+            let fresh = sim.system.clone();
+            sim.run(5);
+            // Translating by half a lattice spacing wraps whole lattice
+            // planes across every periodic face.
+            let mut shifted = sim.system.clone();
+            let shift = 0.5 * shifted.box_len[0] / (n as f64).cbrt().ceil();
+            for r in &mut shifted.pos {
+                for (k, rk) in r.iter_mut().enumerate() {
+                    *rk = (*rk + shift).rem_euclid(shifted.box_len[k]);
+                }
+            }
+            for sys in [&fresh, &sim.system, &shifted] {
+                assert_eq!(CellList::build(sys, p.cutoff).dims, [cells; 3]);
+                let fast = compute_forces(sys, &p);
+                let slow = compute_forces_naive(sys, &p);
+                assert_eq!(fast.pair_count, slow.pair_count, "pair counts differ");
+                assert!((fast.potential - slow.potential).abs() < 1e-9);
+                for (a, b) in fast.f.iter().zip(&slow.f) {
+                    for k in 0..3 {
+                        assert!((a[k] - b[k]).abs() < 1e-9);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn image_select_matches_min_image_at_the_threshold() {
+        let p = WaterParams::default();
+        let boxes = [100, 300, 32_751, 40_000].map(|n| p.box_len(n));
+        for l in boxes.into_iter().chain([10.0, 13.000000001]) {
+            let sys = System {
+                n: 0,
+                box_len: [l; 3],
+                pos: Vec::new(),
+                vel: Vec::new(),
+            };
+            let h = image_threshold(l);
+            assert_eq!((h / l).round(), 1.0, "L = {l}: h must wrap");
+            assert_eq!((h.next_down() / l).round(), 0.0, "L = {l}: h is minimal");
+            for mag in [0.0, h, h.next_down(), h.next_up(), 0.5 * l, l] {
+                for dk in [mag, -mag] {
+                    let want = sys.min_image([0.0; 3], [dk, 0.0, 0.0])[0];
+                    let got = image(dk, l, h);
+                    assert_eq!(got.to_bits(), want.to_bits(), "L = {l}, dk = {dk}");
+                }
             }
         }
     }
