@@ -177,9 +177,9 @@ fn sync_cost_bench(params: FabricParams) -> Vec<SyncCostRow> {
             fabric
                 .set_shards_with_lookahead(shards, lookahead)
                 .expect("fresh fabric accepts sharding");
-            // The same deterministic overload recipe the CI smoke
-            // drains, request-only so the drain needs no driver in the
-            // loop: saturating uniform-random bursts from every other
+            // A deterministic saturating burst, request-only so the
+            // drain needs no driver in the loop and its sync counts are
+            // the drain's alone: uniform-random requests from every other
             // node per cycle.
             let mut rng = SplitMix64::new(0x5C05);
             let mut id = 0u64;
@@ -558,20 +558,6 @@ fn large_shape_bench(params: FabricParams) -> LargeShape {
     }
 }
 
-/// The value of a `--flag VALUE` argument, if present.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} takes a value")),
-            );
-        }
-    }
-    None
-}
-
 /// Pulls `overload_8x8x8 → event → steps_per_sec` out of a previous
 /// `BENCH_fabric.json` by scanning the known pretty-printed shape (the
 /// vendored serde is serialize-only, so there is no JSON parser to lean
@@ -594,7 +580,7 @@ fn extract_overload_event_steps(json: &str) -> Option<f64> {
 /// unreadable baseline only warns, so the first CI run (no cached
 /// artifact yet) passes.
 fn baseline_check(bench: &FabricBench) {
-    let Some(path) = arg_value("--baseline") else {
+    let Some(path) = anton_bench::arg_value("--baseline") else {
         return;
     };
     let text = match std::fs::read_to_string(&path) {
@@ -625,16 +611,9 @@ fn baseline_check(bench: &FabricBench) {
 fn main() {
     let params = FabricParams::calibrated(&LatencyModel::default());
 
-    // The CI overload smoke's sweep point, verbatim (sweep_traffic
-    // --overload-smoke): 512 nodes at 0.9 offered with force returns.
-    let mut overload = SweepConfig::new([8, 8, 8]);
-    overload.loads = vec![];
-    overload.warmup_cycles = 300;
-    overload.measure_cycles = 900;
-    overload.drain_cycles = 6_000;
-    // Stream 1025 = the smoke's own overload point (curve stream 1,
-    // point index 1 on its two-point axis), so the benchmarked traffic
-    // is the exact random instance CI smokes.
+    // The CI overload smoke's 0.9 point, stream included (see
+    // `SweepConfig::overload_8x8x8`).
+    let overload = SweepConfig::overload_8x8x8();
     let overload_8x8x8 = bench_scenario("8x8x8 overload", &overload, params, 0.9, 1025);
 
     // The lookahead-epoch stepper's scaling matrix on the same point,

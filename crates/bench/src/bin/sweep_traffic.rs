@@ -42,9 +42,10 @@
 //!   loaded step-time estimate (`MdNetworkRun::loaded_halo_estimate`)
 //!   the shape's calibration feeds;
 //! - `--overload-smoke` runs a short 8x8x8 overload point with both
-//!   classes plus an injection-stop drain check, exercising the
-//!   dateline-VC deadlock margins on a larger machine (CI runs this on
-//!   every PR, with `--threads`);
+//!   classes, then a drain check: a full-overload scenario with every
+//!   packet tracked that must deliver every request and reply. This
+//!   exercises the dateline-VC deadlock margins on a larger machine (CI
+//!   runs it on every PR, with `--threads`);
 //! - `--mega-smoke` runs a time-budgeted 16x16x16 (4096-node) sweep
 //!   point with both classes, printing the fabric's bytes/router memory
 //!   audit first — the routine check that mega-fabric construction and
@@ -66,23 +67,23 @@
 //!   path ends in `.jsonl`, Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) otherwise.
 
+use anton_bench::arg_value;
 use anton_machine::mdrun::MdNetworkRun;
 use anton_machine::pingpong::LoadedCalibration;
 use anton_model::latency::LatencyModel;
-use anton_model::topology::{NodeId, Torus};
+use anton_model::topology::Torus;
 use anton_model::units::PS_PER_CORE_CYCLE;
 use anton_model::MachineConfig;
 use anton_net::channel::LinkStats;
-use anton_net::fabric3d::{FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES};
+use anton_net::fabric3d::{FabricParams, TorusFabric, TrafficClass, SLICES};
 use anton_net::path::ContentionModel;
 use anton_net::telemetry::{
     ChromeTraceSink, JsonlTraceSink, LinkSummary, StallBreakdown, TelemetryConfig, TraceSink,
 };
-use anton_sim::rng::SplitMix64;
-use anton_traffic::force_return::ForceReturn;
 use anton_traffic::patterns::{standard_suite, NearestNeighbor, TrafficPattern, UniformRandom};
 use anton_traffic::sweep::{
-    run_curve_threaded, run_scenario_instrumented, run_sweep_threaded, ClassPoint, SweepConfig,
+    run_curve_threaded, run_scenario, run_scenario_instrumented, run_sweep_threaded, ClassPoint,
+    SweepConfig,
 };
 use anton_traffic::workload::SyntheticWorkload;
 
@@ -90,18 +91,11 @@ use anton_traffic::workload::SyntheticWorkload;
 /// at any value — each sweep point derives its RNG stream from the seed
 /// and its index alone.
 fn thread_arg() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--threads takes a positive integer");
-            assert!(n >= 1, "--threads takes a positive integer");
-            return n;
-        }
-    }
-    1
+    let n = arg_value("--threads")
+        .map(|v| v.parse().expect("--threads takes a positive integer"))
+        .unwrap_or(1);
+    assert!(n >= 1, "--threads takes a positive integer");
+    n
 }
 
 /// The `--shards N` fabric-step shard count (default 1). Like
@@ -125,20 +119,6 @@ fn lookahead_arg() -> Option<u64> {
         assert!(n >= 1, "--lookahead takes a positive integer");
     }
     n
-}
-
-/// The value of a `--flag VALUE` argument, if present.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return Some(
-                args.next()
-                    .unwrap_or_else(|| panic!("{flag} takes a value")),
-            );
-        }
-    }
-    None
 }
 
 /// Whether any telemetry surface was requested (`--telemetry` itself, or
@@ -680,30 +660,28 @@ fn mega_smoke(params: FabricParams, threads: usize) {
 }
 
 /// A short 8x8x8 overload exercise: one saturated sweep point with both
-/// traffic classes, then an injection-stop drain check — if the dateline
-/// VCs or the request/response class split ever admitted a dependency
-/// cycle, the drain would hang and this smoke would fail CI.
+/// traffic classes, then a drain check — if the dateline VCs or the
+/// request/response class split ever admitted a dependency cycle, the
+/// drain would never finish and this smoke would fail CI.
 fn overload_smoke(params: FabricParams, threads: usize) {
-    let dims = [8u8, 8, 8];
-    let shards = shards_arg();
-    let mut cfg = SweepConfig::new(dims);
-    cfg.shards = shards;
-    cfg.lookahead = lookahead_arg();
     // Two points so `--threads 2` genuinely runs concurrent workers at
     // 512-node scale (a single point would clamp the pool to one): a
     // mid-load companion rides along, and the overload point under test
     // stays last.
-    cfg.loads = vec![0.45, 0.9];
-    cfg.warmup_cycles = 300;
-    cfg.measure_cycles = 900;
-    cfg.drain_cycles = 6_000;
+    let cfg = SweepConfig {
+        shards: shards_arg(),
+        lookahead: lookahead_arg(),
+        ..SweepConfig::overload_8x8x8()
+    };
+    let dims = cfg.dims;
     println!(
         "OVERLOAD SMOKE. {}x{}x{} torus ({} nodes), responses on, {threads} thread(s), \
-         {shards} shard(s)",
+         {} shard(s)",
         dims[0],
         dims[1],
         dims[2],
-        Torus::new(dims).node_count()
+        Torus::new(dims).node_count(),
+        cfg.shards
     );
     let curve = run_curve_threaded(&UniformRandom, &cfg, params, 1, threads);
     let p = curve.points.last().expect("overload point");
@@ -727,71 +705,55 @@ fn overload_smoke(params: FabricParams, threads: usize) {
         "both channel slices must carry traffic"
     );
 
-    // Drain check: hammer the fabric way past saturation with mixed
-    // classes (every delivered request spawns a response via the shared
-    // ForceReturn driver), stop injecting requests, and require every
-    // flit — including the responses still spawning from the final
-    // delivered wave — to leave. The budget is generous for a live
-    // fabric and hopeless for a deadlocked one.
-    let torus = Torus::new(dims);
-    let mut fabric = TorusFabric::new(torus, params);
-    if shards > 1 {
-        fabric
-            .set_shards_with_lookahead(shards, lookahead_arg())
-            .unwrap_or_else(|e| panic!("cannot shard the drain-check fabric: {e}"));
-    }
-    // Under --telemetry the drain-check fabric records: a genuinely
-    // overloaded 512-node machine is the most informative stall picture
-    // this binary produces, and CI uploads the summary artifact from
-    // here.
+    // Drain check: for 1,000 cycles every node offers a full flit per
+    // cycle of 2-flit requests — far past saturation, retrying blocked
+    // injections from its source queue — and every delivered request
+    // spawns a reply. With no warmup every packet is tracked and the
+    // driver stops once none is outstanding, so a full drain is every
+    // request and reply delivered and an empty fabric. The budget is
+    // generous for a live fabric and hopeless for a deadlocked one.
+    let drain_cfg = SweepConfig {
+        warmup_cycles: 0,
+        measure_cycles: 1_000,
+        drain_cycles: 400_000,
+        ..cfg
+    };
+    let mut workload = SyntheticWorkload::new(&UniformRandom, 2, true);
+    // Under --telemetry the drain check records: a genuinely overloaded
+    // 512-node machine is the most informative stall picture this binary
+    // produces, and CI uploads the summary artifact from here.
     let telemetry = telemetry_requested().then(telemetry_config);
-    if let Some(tcfg) = telemetry {
-        fabric.enable_telemetry(tcfg);
-    }
-    let mut rng = SplitMix64::new(0xDEAD);
-    let n = torus.node_count() as u64;
-    let mut fr = ForceReturn::new(2);
-    for cycle in 0..2_000u64 {
-        for node in 0..n {
-            let src = NodeId(node as u16);
-            let dst = NodeId(rng.next_below(n) as u16);
-            if src != dst && cycle % 2 == node % 2 {
-                let id = fr.alloc_id();
-                let spec = PacketSpec::request(src, dst, id, 2).drawn(&mut rng);
-                if fabric.inject(spec).is_ok() {
-                    fr.track(id, src);
-                }
-            }
-        }
-        fr.recycle(&mut fabric, &mut rng);
-        fabric.step();
-    }
-    let injected = fr.allocated();
-    // The drain rides the event/epoch fast-forward: `step_next_event`
-    // jumps dead cycles (under `--shards N` the lookahead epochs also
-    // batch the live ones), returning to the driver at each delivery so
-    // the spawned responses re-enter at exactly the per-cycle loop's
-    // cycles. Same 400k-cycle budget the old per-cycle loop had.
-    let deadline = fabric.cycle() + 400_000;
-    while fabric.cycle() < deadline && !fr.drained(&fabric) {
-        fr.recycle(&mut fabric, &mut rng);
-        fabric.step_next_event(deadline);
-    }
-    fr.recycle(&mut fabric, &mut rng);
+    let run = match telemetry {
+        Some(tcfg) => run_scenario_instrumented(&mut workload, &drain_cfg, params, 1.0, 0, tcfg),
+        None => run_scenario(&mut workload, &drain_cfg, params, 1.0, 0),
+    };
+    let (req, rsp) = (run.point.request, run.point.response.expect("respond mode"));
+    let fabric = &run.fabric;
     assert!(
-        fr.drained(&fabric),
-        "8x8x8 overload did not drain: {} flits resident, {} responses pending",
-        fabric.occupancy(),
-        fr.pending()
+        req.packets_incomplete == 0
+            && rsp.packets_incomplete == 0
+            && rsp.packets_measured == req.packets_measured
+            && fabric.occupancy() == 0,
+        "8x8x8 overload did not drain by cycle {}: {} of {} requests and {} of {} replies \
+         undelivered, {} flits resident",
+        fabric.cycle(),
+        req.packets_incomplete,
+        req.packets_measured,
+        rsp.packets_incomplete,
+        rsp.packets_measured,
+        fabric.occupancy()
     );
     println!(
-        "drain check: PASS ({injected} packets generated, fabric empty, \
+        "drain check: PASS ({} requests, {} replies, fabric empty at cycle {}, \
          {} sync ops / {} epochs)",
+        req.packets_measured,
+        rsp.packets_measured,
+        fabric.cycle(),
         fabric.sync_ops(),
         fabric.epochs()
     );
     if telemetry.is_some() {
-        print_telemetry(&fabric);
-        write_telemetry_artifacts(&fabric);
+        print_telemetry(fabric);
+        write_telemetry_artifacts(fabric);
     }
 }

@@ -24,6 +24,21 @@ pub fn maybe_json<T: Serialize>(value: &T) -> bool {
     }
 }
 
+/// The value of a `--flag VALUE` argument, if present; panics when the
+/// flag is the last argument.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return Some(
+                args.next()
+                    .unwrap_or_else(|| panic!("{flag} takes a value")),
+            );
+        }
+    }
+    None
+}
+
 /// A standard paper-vs-measured comparison line.
 pub fn compare(label: &str, paper: &str, measured: &str) {
     println!("  {label:<44} paper: {paper:<18} measured: {measured}");

@@ -15,14 +15,13 @@
 //! Deliveries feed the workload's completion hook, which is how
 //! force-return protocols spawn responses (same-size replies on the
 //! response class, slice drawn at spawn time from the destination
-//! node's stream). The overload/drain harnesses implement the same
-//! spawn/retry protocol via [`crate::force_return`], without the
-//! per-packet statistics; keep the two in sync. After a warmup window,
-//! packets generated during the measurement window (and the follow-ons
-//! they spawn) are tracked to delivery; the scenario reports delivered
-//! throughput and latency **per traffic class and per channel slice**,
-//! plus a low-load cross-check of the per-hop constant against the
-//! analytic [`anton_net::path`] model the fabric was calibrated from.
+//! node's stream). Debug builds check that every delivered flit rode its
+//! class's VCs. After a warmup window, packets generated during the
+//! measurement window (and the follow-ons they spawn) are tracked to
+//! delivery; the scenario reports delivered throughput and latency **per
+//! traffic class and per channel slice**, plus a low-load cross-check of
+//! the per-hop constant against the analytic [`anton_net::path`] model
+//! the fabric was calibrated from.
 //!
 //! [`run_point`] is the thin synthetic-pattern wrapper (a
 //! [`SyntheticWorkload`] over one [`TrafficPattern`]); it preserves the
@@ -192,6 +191,22 @@ impl SweepConfig {
             warmup_cycles: 1_000,
             measure_cycles: 2_000,
             ..Self::calibration_4x4x8()
+        }
+    }
+
+    /// The 8x8x8 overload scenario: uniform random with force returns on
+    /// the 512-node machine, a mid-load companion point, and the 0.9
+    /// overload point last. `sweep_traffic --overload-smoke` runs this
+    /// axis as curve stream 1, so its overload point draws from stream
+    /// 1025 (`1 * 1024 + 1`); `bench_fabric` runs stream 1025 directly to
+    /// benchmark the exact random instance the smoke checks.
+    pub fn overload_8x8x8() -> Self {
+        SweepConfig {
+            warmup_cycles: 300,
+            measure_cycles: 900,
+            drain_cycles: 6_000,
+            loads: vec![0.45, 0.9],
+            ..Self::new([8, 8, 8])
         }
     }
 }
@@ -746,6 +761,16 @@ fn scenario_impl<W: Workload + ?Sized>(
         if !fabric.delivered().is_empty() || cycle >= horizon {
             for (at, flit) in fabric.take_delivered() {
                 let tag = decode_tag(flit.tag);
+                // Requests ride VCs below the response VC, responses ride
+                // it: the class split that rules out request/response
+                // dependency cycles.
+                debug_assert_eq!(
+                    tag.class == TrafficClass::Response,
+                    flit.vc == routing::RESPONSE_VC,
+                    "{:?} flit delivered on VC {}",
+                    tag.class,
+                    flit.vc
+                );
                 if window.contains(&at) {
                     window_flits += 1;
                     class_flits[(tag.class == TrafficClass::Response) as usize] += 1;
@@ -1176,30 +1201,51 @@ mod tests {
         // Region-partitioned stepping is an execution strategy: the
         // measured point must not change at any shard count, loaded
         // enough that boundary links actually carry contended traffic.
-        let mut cfg = small_cfg();
-        cfg.respond = true;
+        // The second input is drain-shaped like the overload drain
+        // checks: every packet tracked from cycle 0 at full overload,
+        // with a budget large enough to empty the fabric.
         let p = params();
-        let serial = run_point(&UniformRandom, &cfg, p, 0.4, 8);
-        for shards in [2, 4] {
-            cfg.shards = shards;
-            let sharded = run_point(&UniformRandom, &cfg, p, 0.4, 8);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{sharded:?}"),
-                "shard count {shards} leaked into the measurements"
-            );
-        }
-        // The lookahead window is an execution knob too: a pinned
-        // degenerate window and a mid-size one must also match.
-        for lookahead in [Some(1), Some(3)] {
-            cfg.shards = 2;
-            cfg.lookahead = lookahead;
-            let windowed = run_point(&UniformRandom, &cfg, p, 0.4, 8);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{windowed:?}"),
-                "lookahead {lookahead:?} leaked into the measurements"
-            );
+        let loaded = SweepConfig {
+            respond: true,
+            ..small_cfg()
+        };
+        let drain = SweepConfig {
+            warmup_cycles: 0,
+            drain_cycles: 200_000,
+            ..loaded.clone()
+        };
+        for (mut cfg, offered, must_drain) in [(loaded, 0.4, false), (drain, 1.0, true)] {
+            let serial = run_point(&UniformRandom, &cfg, p, offered, 8);
+            if must_drain {
+                let rsp = serial.response.expect("respond mode");
+                assert_eq!(serial.request.packets_incomplete, 0, "requests left behind");
+                assert_eq!(rsp.packets_incomplete, 0, "replies left behind");
+                assert_eq!(
+                    rsp.packets_measured, serial.request.packets_measured,
+                    "one reply per request"
+                );
+            }
+            for shards in [2, 4] {
+                cfg.shards = shards;
+                let sharded = run_point(&UniformRandom, &cfg, p, offered, 8);
+                assert_eq!(
+                    format!("{serial:?}"),
+                    format!("{sharded:?}"),
+                    "shard count {shards} leaked into the measurements"
+                );
+            }
+            // The lookahead window is an execution knob too: a pinned
+            // degenerate window and a mid-size one must also match.
+            for lookahead in [Some(1), Some(3)] {
+                cfg.shards = 2;
+                cfg.lookahead = lookahead;
+                let windowed = run_point(&UniformRandom, &cfg, p, offered, 8);
+                assert_eq!(
+                    format!("{serial:?}"),
+                    format!("{windowed:?}"),
+                    "lookahead {lookahead:?} leaked into the measurements"
+                );
+            }
         }
     }
 

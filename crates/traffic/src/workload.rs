@@ -9,7 +9,7 @@
 //! load, per-node RNG streams, injection queues and the
 //! no-retry-bias rule, warmup/measurement windows, and statistics.
 //!
-//! Three families implement it:
+//! Two families implement it:
 //!
 //! - [`SyntheticWorkload`] — adapts any [`TrafficPattern`] (the six
 //!   classic k-ary n-cube stressors), optionally with the force-return
@@ -20,10 +20,7 @@
 //!   neighborhood ([`ByteKind::Position`], request class) answered by
 //!   force returns ([`ByteKind::Force`], response class), so the cycle
 //!   fabric carries wire bytes typed exactly like the Figure 9a
-//!   accounting of the analytic channel adapters;
-//! - the drain harnesses' [`crate::force_return::ForceReturn`] driver,
-//!   which implements the same spawn protocol directly against the
-//!   fabric for overload/drain property tests.
+//!   accounting of the analytic channel adapters.
 
 use crate::patterns::TrafficPattern;
 use anton_md::decomp::Decomposition;

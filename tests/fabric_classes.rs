@@ -4,16 +4,18 @@
 //! once injection stops, i.e. there is no VC dependency cycle between
 //! the request and response classes; and each class keeps its dateline
 //! invariant on random torus shapes (at most one wraparound crossing
-//! per dimension for requests, none at all for responses).
+//! per dimension for requests, none at all for responses). The check
+//! that every delivered flit rides its class's VC lives in the scenario
+//! driver (`traffic::sweep`), as a debug assertion on each delivery, so
+//! the drain property below exercises it on every flit.
 
 use anton3::model::latency::LatencyModel;
 use anton3::model::topology::{DimOrder, NodeId, Torus};
-use anton3::net::fabric3d::{
-    decode_tag, FabricParams, PacketSpec, TorusFabric, TrafficClass, SLICES,
-};
+use anton3::net::fabric3d::{FabricParams, PacketSpec, TorusFabric, SLICES};
 use anton3::net::routing::{self, RESPONSE_VC};
-use anton3::sim::rng::SplitMix64;
-use anton3::traffic::force_return::ForceReturn;
+use anton3::traffic::patterns::UniformRandom;
+use anton3::traffic::sweep::{run_scenario, SweepConfig};
+use anton3::traffic::workload::SyntheticWorkload;
 use proptest::prelude::*;
 
 proptest! {
@@ -21,69 +23,40 @@ proptest! {
 
     /// Overload a random-shape fabric with request traffic whose
     /// deliveries spawn responses, stop injecting, and require a full
-    /// drain: a request/response dependency cycle would leave flits
-    /// resident forever. Every delivered flit must also carry its
-    /// class's VCs.
+    /// drain: a request/response dependency cycle would leave packets
+    /// undelivered and flits resident forever. With no warmup every
+    /// packet is tracked, so a full drain is every request and its one
+    /// reply delivered and an empty fabric.
     #[test]
     fn overloaded_mixed_class_fabric_drains(
         dims in (2u8..=4, 2u8..=4, 2u8..=5),
         seed in any::<u64>(),
         inject_cycles in 40u64..150,
     ) {
-        let torus = Torus::new([dims.0, dims.1, dims.2]);
-        let params = FabricParams::calibrated(&LatencyModel::default());
-        let mut fabric = TorusFabric::new(torus, params);
-        let mut rng = SplitMix64::new(seed);
-        let n = torus.node_count() as u64;
-        let mut fr = ForceReturn::new(2);
-        let check_classes = |flits: &[anton3::net::router::Flit]| {
-            for f in flits {
-                match decode_tag(f.tag).class {
-                    TrafficClass::Request => prop_assert!(
-                        f.vc < RESPONSE_VC,
-                        "request delivered on VC {}", f.vc
-                    ),
-                    TrafficClass::Response => prop_assert_eq!(
-                        f.vc, RESPONSE_VC,
-                        "response delivered off its VC"
-                    ),
-                }
-            }
+        let cfg = SweepConfig {
+            warmup_cycles: 0,
+            measure_cycles: inject_cycles,
+            drain_cycles: 200_000,
+            seed,
+            ..SweepConfig::new([dims.0, dims.1, dims.2])
         };
-        // Overload: every node attempts a 2-flit request every cycle.
-        for _ in 0..inject_cycles {
-            for node in 0..n {
-                let src = NodeId(node as u16);
-                let dst = NodeId(rng.next_below(n) as u16);
-                if src != dst {
-                    let id = fr.alloc_id();
-                    let spec = PacketSpec::request(src, dst, id, 2).drawn(&mut rng);
-                    if fabric.inject(spec).is_ok() {
-                        fr.track(id, src);
-                    }
-                }
-            }
-            let delivered = fr.recycle(&mut fabric, &mut rng);
-            check_classes(&delivered);
-            fabric.step();
-        }
-        // Injection stopped; in-flight requests keep spawning responses
-        // until everything lands. `drained` counts unprocessed
-        // deliveries as live work, so the final wave's replies are
-        // spawned and class-checked before the loop may exit.
-        let mut budget = 200_000u64;
-        while budget > 0 && !fr.drained(&fabric) {
-            let delivered = fr.recycle(&mut fabric, &mut rng);
-            check_classes(&delivered);
-            fabric.step();
-            budget -= 1;
-        }
-        prop_assert!(
-            fr.drained(&fabric),
-            "fabric did not drain after injection stopped: {} flits resident, \
-             {} responses pending (dependency cycle between classes?)",
-            fabric.occupancy(),
-            fr.pending()
+        let params = FabricParams::calibrated(&LatencyModel::default());
+        let mut workload = SyntheticWorkload::new(&UniformRandom, 2, true);
+        let run = run_scenario(&mut workload, &cfg, params, 1.0, 0);
+        let req = run.point.request;
+        let rsp = run.point.response.expect("respond mode");
+        prop_assert_eq!(req.packets_incomplete, 0, "requests left undelivered");
+        prop_assert_eq!(
+            rsp.packets_incomplete, 0,
+            "replies left undelivered (dependency cycle between classes?)"
+        );
+        prop_assert_eq!(
+            rsp.packets_measured, req.packets_measured,
+            "one reply per delivered request"
+        );
+        prop_assert_eq!(
+            run.fabric.occupancy(), 0,
+            "flits still resident after the drain"
         );
     }
 
