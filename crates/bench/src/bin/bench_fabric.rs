@@ -20,9 +20,9 @@
 //! speedup ratio.
 //!
 //! The overload point also runs at shards ∈ {1, 2, 4} on the event core
-//! (`TorusFabric::set_shards` region partitioning) and records the
-//! steps/s scaling curve under `shard_scaling` — every shard count must
-//! land on the identical simulated endpoint, asserted per run.
+//! (`TorusFabric::set_shards_with_lookahead` region partitioning) and
+//! records the steps/s scaling curve under `shard_scaling` — every shard
+//! count must land on the identical simulated endpoint, asserted per run.
 //!
 //! The overload scenario additionally runs a third time with fabric
 //! telemetry enabled (`net::telemetry`, default config) to price the

@@ -19,10 +19,10 @@
 //!   any worker count, because every point seeds its RNG streams from
 //!   the config seed and its own index;
 //! - `--shards N` partitions every fabric step itself across `N`
-//!   region shards (`TorusFabric::set_shards`) — parallelism *within*
-//!   one simulation, composable with `--threads` parallelism *across*
-//!   points; like `--threads`, all output is byte-identical at any
-//!   shard count;
+//!   region shards (`TorusFabric::set_shards_with_lookahead`) —
+//!   parallelism *within* one simulation, composable with `--threads`
+//!   parallelism *across* points; like `--threads`, all output is
+//!   byte-identical at any shard count;
 //! - `--lookahead N` caps the sharded stepper's lookahead-epoch window
 //!   (`TorusFabric::set_shards_with_lookahead`) — by default every
 //!   shard runs up to the fabric's minimum positive link latency

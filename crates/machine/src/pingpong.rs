@@ -278,20 +278,6 @@ impl LoadedCalibration {
         ([8, 8, 8], Self::UNIFORM_8X8X8),
     ];
 
-    /// The shipped uniform-random calibration for `torus`, if its shape
-    /// has one exactly. Dimensions are compared order-insensitively:
-    /// uniform random traffic draws all six dimension orders
-    /// symmetrically, so an [8, 4, 4] machine is physically the 4x4x8
-    /// one. Shape-generic consumers that must not fail on uncalibrated
-    /// shapes use [`Self::uniform_nearest`] instead.
-    pub fn uniform_for(torus: &Torus) -> Option<LoadedCalibration> {
-        let dims = sorted_extents(torus);
-        Self::SHIPPED_UNIFORM
-            .iter()
-            .find(|(shape, _)| *shape == dims)
-            .map(|(_, cal)| *cal)
-    }
-
     /// The uniform-random calibration for `torus`, never failing: an
     /// exact shipped fit when the shape has one, otherwise the nearest
     /// shipped fit (by mean uniform route length) rescaled by the

@@ -106,14 +106,6 @@ impl ChipLoc {
         let row = (tile / asic::CORE_COLS) as u8;
         ChipLoc::Gc { col, row, which }
     }
-
-    /// The Core Tile row this location injects into / ejects from.
-    pub fn mesh_row(self) -> u8 {
-        match self {
-            ChipLoc::Gc { row, .. } | ChipLoc::Bc { row, .. } => row,
-            ChipLoc::Icb { row, .. } => row,
-        }
-    }
 }
 
 impl fmt::Display for ChipLoc {

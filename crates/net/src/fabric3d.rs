@@ -473,7 +473,7 @@ impl TorusFabric {
         // Separable per-dimension tables build for every shape — O(n)
         // memory, no node-count cap, no computed-route fallback on the
         // hot path. The direct computation survives as the test oracle
-        // ([`torus_route`] / [`CoordCache::route`]).
+        // ([`torus_route`]).
         let tables = RouteTables::build(&torus);
         let route_table_bytes = tables.memory_bytes();
         let route: Box<crate::router::RouteFn> =
@@ -578,23 +578,14 @@ impl TorusFabric {
         self.fabric.shards()
     }
 
-    /// Re-partitions stepping across `shards` parallel regions; results
-    /// stay bit-identical to [`Self::step_reference`] at every count.
+    /// Re-partitions stepping across `shards` parallel regions, with an
+    /// optional cap on the lookahead epoch window (`None` = structural:
+    /// the minimum positive link latency, ~the calibrated link flight
+    /// time; `Some(1)` = one-cycle epochs). Results stay bit-identical
+    /// to [`Self::step_reference`] at every `(shards, window)` pair.
     /// Calibrated torus links are always at least one cycle long, so any
     /// drained torus fabric accepts any count up to its router total
-    /// (see [`crate::router::RouterFabric::set_shards`]).
-    ///
-    /// # Errors
-    /// See [`ShardError`].
-    pub fn set_shards(&mut self, shards: usize) -> Result<(), ShardError> {
-        self.fabric.set_shards(shards)
-    }
-
-    /// Like [`Self::set_shards`], with an explicit cap on the lookahead
-    /// epoch window (`None` = structural: the minimum positive link
-    /// latency, ~the calibrated link flight time; `Some(1)` = one-cycle
-    /// epochs). Results are bit-identical at every `(shards, window)`
-    /// pair (see [`crate::router::RouterFabric::set_shards_with_lookahead`]).
+    /// (see [`crate::router::RouterFabric::set_shards_with_lookahead`]).
     ///
     /// # Errors
     /// See [`ShardError`].
@@ -604,12 +595,6 @@ impl TorusFabric {
         lookahead: Option<u64>,
     ) -> Result<(), ShardError> {
         self.fabric.set_shards_with_lookahead(shards, lookahead)
-    }
-
-    /// The widest lookahead-epoch window the sharded stepper may attempt
-    /// (see [`crate::router::RouterFabric::lookahead`]).
-    pub fn lookahead(&self) -> u64 {
-        self.fabric.lookahead()
     }
 
     /// Synchronization operations (pool launches + barrier crossings)
@@ -730,19 +715,6 @@ impl TorusFabric {
     /// The telemetry recorded so far, if enabled.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.fabric.telemetry()
-    }
-
-    /// Stall-cause breakdown charged upstream of the slice link from
-    /// `node` toward `dir` on `slice`, summed over VCs. `None` when
-    /// telemetry is disabled.
-    pub fn link_stalls(
-        &self,
-        node: NodeId,
-        dir: Direction,
-        slice: usize,
-    ) -> Option<StallBreakdown> {
-        let tel = self.fabric.telemetry()?;
-        Some(tel.stalls_for_link(node.index(), slice_port(dir, slice)))
     }
 
     /// Cycle accounting `(advance, stall, idle)` of the slice link from
@@ -1102,36 +1074,6 @@ pub fn torus_route_tab(tables: &RouteTables, f: &Flit, router: usize) -> RouteDe
     }
 }
 
-/// Dense node→coordinate cache for the retained direct-computation
-/// oracle: [`torus_route`] pays two `coord()` divisions per flit per
-/// hop, which makes oracle-vs-table sweeps at 16³/32³ pathologically
-/// slow. [`CoordCache::route`] is the same decision path with the
-/// divisions amortized into one `O(n)` table at construction.
-pub struct CoordCache {
-    coords: Vec<TorusCoord>,
-}
-
-impl CoordCache {
-    /// Builds the cache for every node of `torus`.
-    pub fn new(torus: &Torus) -> CoordCache {
-        CoordCache {
-            coords: torus.nodes().map(|id| torus.coord(id)).collect(),
-        }
-    }
-
-    /// The cached coordinate of `node`.
-    pub fn coord(&self, node: usize) -> TorusCoord {
-        self.coords[node]
-    }
-
-    /// [`torus_route`] with the coordinate lookups served from the
-    /// cache — bit-identical decisions (the shared tail is the same
-    /// function).
-    pub fn route(&self, torus: &Torus, f: &Flit, router: usize) -> RouteDecision {
-        route_decision(torus, self.coords[router], self.coords[f.dest as usize], f)
-    }
-}
-
 /// Per-hop route computation, dispatching on the flit's traffic class:
 ///
 /// - requests reproduce `assign_request_vcs` from the carried state — VC
@@ -1144,12 +1086,6 @@ impl CoordCache {
 pub fn torus_route(torus: &Torus, f: &Flit, router: usize) -> RouteDecision {
     let cur = torus.coord(NodeId(router as u16));
     let dest = torus.coord(NodeId(f.dest as u16));
-    route_decision(torus, cur, dest, f)
-}
-
-/// The shared decision tail of [`torus_route`] and [`CoordCache::route`]:
-/// everything after the coordinate lookups.
-fn route_decision(torus: &Torus, cur: TorusCoord, dest: TorusCoord, f: &Flit) -> RouteDecision {
     let t = decode_tag(f.tag);
     match t.class {
         TrafficClass::Request => match torus.first_hop(cur, dest, DimOrder::ALL[t.order_idx]) {
@@ -1255,8 +1191,8 @@ mod tests {
     #[test]
     fn separable_tables_stay_linear_above_the_old_cap() {
         // 16³ = 4096 nodes sat above the old ROUTE_TABLE_MAX_NODES; the
-        // separable tables must build, agree with the (coords-cached)
-        // oracle on a sample, and cost O(n) — not the 6·n² + n² bytes
+        // separable tables must build, agree with the direct oracle on
+        // a sample, and cost O(n) — not the 6·n² + n² bytes
         // (~134 MB here) of the quadratic layout.
         let t = Torus::new([16, 16, 16]);
         let tables = RouteTables::build(&t);
@@ -1265,7 +1201,6 @@ mod tests {
             "tables took {} bytes — quadratic?",
             tables.memory_bytes()
         );
-        let cache = CoordCache::new(&t);
         let n = t.node_count();
         for router in (0..n).step_by(173) {
             for dest in (0..n).step_by(211) {
@@ -1281,9 +1216,10 @@ mod tests {
                             tag,
                             injected_at: 0,
                         };
-                        let want = cache.route(&t, &f, router);
-                        assert_eq!(want, torus_route(&t, &f, router), "cache != direct");
-                        assert_eq!(torus_route_tab(&tables, &f, router), want);
+                        assert_eq!(
+                            torus_route_tab(&tables, &f, router),
+                            torus_route(&t, &f, router)
+                        );
                     }
                 }
                 let f = Flit {
@@ -1297,7 +1233,7 @@ mod tests {
                 };
                 assert_eq!(
                     torus_route_tab(&tables, &f, router),
-                    cache.route(&t, &f, router)
+                    torus_route(&t, &f, router)
                 );
             }
         }

@@ -7,8 +7,7 @@
 //! tree, so each channel carries one partially-summed force instead of
 //! one packet per contributor. The paper does not evaluate this feature
 //! (it is out of scope there); we implement it as the natural extension
-//! and use it for the multicast/reduction duality tests and as an
-//! optional traffic optimization in the timestep engine.
+//! and use it for the multicast/reduction duality tests.
 //!
 //! The mechanics reuse the fence-style merge counter: a reduction node
 //! expects a known number of contributions per (atom, port), accumulates

@@ -358,8 +358,8 @@ impl RouteDecision {
 /// or `injected_at` would diverge between the event and reference
 /// steppers (the `stepper_equivalence` tests would catch it).
 /// Route functions are `Send + Sync`: the sharded stepper
-/// ([`RouterFabric::set_shards`]) calls one route function from every
-/// shard worker concurrently.
+/// ([`RouterFabric::set_shards_with_lookahead`]) calls one route
+/// function from every shard worker concurrently.
 pub type RouteFn = dyn Fn(&Flit, usize /*router id*/) -> RouteDecision + Send + Sync;
 
 /// A per-flit class extractor for the per-class link traffic counters:
@@ -1073,7 +1073,8 @@ pub enum PortLink {
         /// Downstream input port.
         port: usize,
     },
-    /// Ejects to endpoint `id` (flits are collected for the caller).
+    /// Ejects to endpoint `id`: flits are collected for the caller in the
+    /// cycle they depart (ejection links have zero latency).
     Endpoint(u32),
     /// An input-only port with no outgoing link (injection ports). The
     /// wiring table is self-describing: routing a flit out of an unused
@@ -1223,7 +1224,8 @@ mod shard {
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::{Arc, Condvar, Mutex};
 
-    /// Why [`RouterFabric::set_shards`] refused a shard count.
+    /// Why [`RouterFabric::set_shards_with_lookahead`] refused a shard
+    /// count.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     pub enum ShardError {
         /// The count was zero or exceeded the router count.
@@ -1494,7 +1496,7 @@ mod shard {
         /// Departures across the whole window, `(router, out, flit)`,
         /// segmented per cycle by `segs`.
         moves: Vec<(usize, usize, Flit)>,
-        /// Latency-0 ejections across the window, in departure order.
+        /// Ejections across the window, in departure order.
         delivered_eject: Vec<Flit>,
         /// Arrival-wheel bookings across the window, `(arrival, router,
         /// port)` — all at or beyond the epoch barrier (no positive link
@@ -1906,8 +1908,8 @@ mod shard {
                         // Link flight is folded into the downstream
                         // pipeline constant (the paper's per-hop cycle
                         // counts are inclusive), so the flit lands this
-                        // cycle — in this shard, since `set_shards`
-                        // rejects latency-0 router links when sharded.
+                        // cycle — in this shard, since sharding rejects
+                        // latency-0 router links.
                         debug_assert!(owns(dst), "latency-0 link left shard {s}");
                         let router = &mut routers[dst - lo];
                         router.accept(dport, flit.vc, flit, cycle);
@@ -1927,16 +1929,9 @@ mod shard {
                             .outwheel
                             .push((cycle + spec.latency, r as u32, out as u32));
                     }
-                    PortLink::Endpoint(_) if spec.latency == 0 => {
-                        scratch.delivered_eject.push(flit)
-                    }
-                    PortLink::Endpoint(_) => {
-                        debug_assert!(cycle + spec.latency >= tend, "booking inside the window");
-                        ch.in_flight.push_back((cycle + spec.latency, flit));
-                        scratch
-                            .outwheel
-                            .push((cycle + spec.latency, r as u32, out as u32));
-                    }
+                    // Ejection links have zero latency by construction
+                    // (`set_link_spec`), so every ejection lands now.
+                    PortLink::Endpoint(_) => scratch.delivered_eject.push(flit),
                     PortLink::Unused => unreachable!("flit departed through an unused port"),
                 }
             }
@@ -2012,21 +2007,12 @@ mod shard {
         /// a cycle-by-cycle drain stops at — so drain-loop observables do
         /// not depend on the window width.
         ///
-        /// With `stop_at_delivery`, the window is pinned to one cycle,
-        /// so a delivery-reactive driver (one that may inject follow-on
-        /// traffic when a packet completes, like the sweep's force-return
-        /// workloads) regains control at exactly the cycle a
-        /// cycle-by-cycle stepper would hand it — the
-        /// [`RouterFabric::step_next_event`] contract. The pin is
-        /// necessary because deliveries on zero-latency ejection links
+        /// A delivery-reactive caller passes `limit = cycle + 1`: ejections
         /// happen *inside* shard windows, where no prologue can foresee
-        /// them and no epoch can be unwound past them; idle stretches
-        /// still fast-forward, since
-        /// `step_ahead` jumps dead cycles before each epoch. Callers
-        /// that cannot react mid-call ([`RouterFabric::run_until_drained`]
-        /// and drivers of non-spawning workloads) pass `false` and get
-        /// full-width windows with deliveries batched per epoch.
-        pub(super) fn step_epoch(&mut self, limit: u64, stop_at_delivery: bool) {
+        /// them and no epoch can be unwound past them, so the one-cycle
+        /// window is the only exact one (see
+        /// [`RouterFabric::step_next_event`]).
+        pub(super) fn step_epoch(&mut self, limit: u64) {
             let t0 = self.cycle;
             debug_assert!(limit > t0, "epoch must advance at least one cycle");
             let shards = self.shards();
@@ -2049,50 +2035,30 @@ mod shard {
                 let len = tel.epoch_cycles();
                 w = w.min(len - t0 % len);
             }
-            if stop_at_delivery {
-                // A reactive caller must observe every delivery before
-                // the next cycle runs; ejections are decided inside the
-                // shard windows, so the only exact window is one cycle.
-                // The headroom clamp below cannot shrink a one-cycle
-                // window further, so only the shadow snapshot remains:
-                // arbitration reads boundary credits through the shadow,
-                // which must freeze this cycle's starting values against
-                // concurrent cross-shard accepts.
-                w = 1;
-                for b in &self.boundary {
-                    for vc in 0..b.vcs {
-                        self.shadow[(b.slot + vc) as usize] = self.credit_view
-                            [b.queue_base as usize + vc as usize]
-                            .load(Ordering::Relaxed);
-                    }
-                }
-            } else {
-                for b in &self.boundary {
-                    let interval = self.channels[b.router as usize][b.port as usize]
-                        .spec
-                        .interval
-                        .max(1);
-                    for vc in 0..b.vcs {
-                        let credit = self.credit_view[b.queue_base as usize + vc as usize]
-                            .load(Ordering::Relaxed);
-                        let held = self.reserved[b.router as usize]
-                            [b.port as usize * b.vcs as usize + vc as usize];
-                        let headroom = u64::from(credit.saturating_sub(held));
-                        let safe = if headroom >= 1 {
-                            (headroom - 1) * interval + 1
-                        } else {
-                            1
-                        };
-                        w = w.min(safe);
-                        self.shadow[(b.slot + vc) as usize] = credit;
-                    }
+            for b in &self.boundary {
+                let interval = self.channels[b.router as usize][b.port as usize]
+                    .spec
+                    .interval
+                    .max(1);
+                for vc in 0..b.vcs {
+                    let credit = self.credit_view[b.queue_base as usize + vc as usize]
+                        .load(Ordering::Relaxed);
+                    let held = self.reserved[b.router as usize]
+                        [b.port as usize * b.vcs as usize + vc as usize];
+                    let headroom = u64::from(credit.saturating_sub(held));
+                    let safe = if headroom >= 1 {
+                        (headroom - 1) * interval + 1
+                    } else {
+                        1
+                    };
+                    w = w.min(safe);
+                    self.shadow[(b.slot + vc) as usize] = credit;
                 }
             }
             let w = w.max(1);
 
             // ---- Prologue: replay the window's arrivals as schedules ----
             let wheel_len = self.arrival_wheel.len() as u64;
-            debug_assert!(self.land_sched.is_empty(), "stale landing schedule");
             let mut t = t0;
             while t < t0 + w {
                 if self.in_flight_total == 0 {
@@ -2138,8 +2104,9 @@ mod shard {
                                 flit,
                             });
                         }
-                        PortLink::Endpoint(_) => self.land_sched.push((t, flit)),
-                        PortLink::Unused => unreachable!("flit in flight on an unused port"),
+                        PortLink::Endpoint(_) | PortLink::Unused => {
+                            unreachable!("only router links hold flits in flight")
+                        }
                     }
                 }
                 bucket.clear();
@@ -2204,7 +2171,6 @@ mod shard {
             }
             let pooled = self.pool.is_some();
             if pooled {
-                self.sync_ops += 2; // one pool launch + one epoch barrier
                 self.epochs += 1;
             }
 
@@ -2215,13 +2181,12 @@ mod shard {
             // Telemetry is detached during the merge so disjoint field
             // borrows stay visible; recording is purely observational.
             let mut tel = self.telemetry.take();
-            let mut land_pos = 0;
             let mut last_active = t0;
-            // Visit only the cycles some shard executed or a landing
-            // falls on: a window over latency-0 links spans up to the
-            // caller's limit, most of it fast-forwarded.
+            // Visit only the cycles some shard executed: a window over
+            // latency-0 links spans up to the caller's limit, most of it
+            // fast-forwarded.
             loop {
-                let mut next = self.land_sched.get(land_pos).map(|&(t, _)| t);
+                let mut next: Option<u64> = None;
                 for sc in &self.shard_scratch {
                     if let Some(seg) = sc.segs.get(sc.seg_pos) {
                         next = Some(next.map_or(seg.cycle, |t| t.min(seg.cycle)));
@@ -2270,14 +2235,9 @@ mod shard {
                         }
                     }
                 }
-                // Deliveries: endpoint landings in departure order first
-                // (the reference land phase), then latency-0 ejections; then
-                // this cycle's wheel bookings, all in departure order.
-                while land_pos < self.land_sched.len() && self.land_sched[land_pos].0 == c {
-                    self.delivered.push((c, self.land_sched[land_pos].1));
-                    land_pos += 1;
-                    any = true;
-                }
+                // Ejections, then this cycle's wheel bookings, all in
+                // departure order — each Deliver traced right after this
+                // cycle's Hops, as the reference's apply phase does.
                 for s in 0..shards {
                     let sc = &mut self.shard_scratch[s];
                     let Some(seg) = sc.segs.get(sc.seg_pos).copied() else {
@@ -2289,6 +2249,9 @@ mod shard {
                     let (_, _, e0, o0) = sc.merged;
                     for &flit in &sc.delivered_eject[e0 as usize..seg.eject_end as usize] {
                         self.delivered.push((c, flit));
+                        if let Some(tel) = tel.as_deref_mut() {
+                            tel.note_deliver(c, &flit);
+                        }
                     }
                     for &(arrival, r, out) in &sc.outwheel[o0 as usize..seg.outwheel_end as usize] {
                         self.arrival_wheel[(arrival % wheel_len) as usize].push((arrival, r, out));
@@ -2305,12 +2268,7 @@ mod shard {
                     last_active = c;
                 }
             }
-            debug_assert_eq!(land_pos, self.land_sched.len(), "unmerged landing");
-            self.land_sched.clear();
             self.telemetry = tel;
-            if self.telemetry.is_some() {
-                self.telemetry_note_deliveries();
-            }
 
             // Surviving actives, ascending across contiguous shard ranges.
             self.active.clear();
@@ -2402,8 +2360,9 @@ pub struct RouterFabric {
     /// the reverse channel and can never beat the grant that freed it —
     /// instead of leaking mid-cycle to routers that happened to
     /// arbitrate later in the scan order. That uniformity is also what
-    /// lets [`Self::set_shards`] arbitrate regions concurrently: probes
-    /// see the same credits no matter which thread (or order) asks.
+    /// lets [`Self::set_shards_with_lookahead`] arbitrate regions
+    /// concurrently: probes see the same credits no matter which thread
+    /// (or order) asks.
     /// Atomic so shard workers can read any entry while each mutates
     /// only its own routers' entries; unsharded stepping and the
     /// reference stepper use the same relaxed operations on one thread.
@@ -2470,14 +2429,6 @@ pub struct RouterFabric {
     /// Optional user clamp on the epoch window
     /// ([`Self::set_shards_with_lookahead`]); `None` means structural.
     lookahead_cap: Option<u64>,
-    /// Epoch-prologue schedule of endpoint landings inside the window,
-    /// `(cycle, flit)` ascending; drained by the merge epilogue.
-    land_sched: Vec<(u64, Flit)>,
-    /// Synchronization operations spent by pooled epochs: one pool
-    /// launch plus one barrier crossing per epoch (the per-cycle
-    /// protocol cost five per simulated cycle). Unsharded epochs run
-    /// inline and spend none.
-    sync_ops: u64,
     /// Pooled lookahead epochs executed.
     epochs: u64,
     /// Simulated cycles advanced by pooled epochs.
@@ -2568,8 +2519,6 @@ impl RouterFabric {
             shadow: Vec::new(),
             min_pos_latency: u64::MAX,
             lookahead_cap: None,
-            land_sched: Vec::new(),
-            sync_ops: 0,
             epochs: 0,
             cycles_stepped: 0,
             pool: None,
@@ -2586,8 +2535,7 @@ impl RouterFabric {
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         let ports: Vec<u32> = self.wiring.iter().map(|row| row.len() as u32).collect();
         let vcs = self.routers.iter().map(|r| r.vcs).max().unwrap_or(1);
-        let mut tel = Telemetry::new(cfg, &ports, vcs, self.cycle);
-        tel.set_delivered_mark(self.delivered.len());
+        let tel = Telemetry::new(cfg, &ports, vcs, self.cycle);
         self.telemetry = Some(Box::new(tel));
     }
 
@@ -2651,7 +2599,6 @@ impl RouterFabric {
             + (self.active.capacity() + self.bounds.capacity()) * size_of::<usize>()
             + self.is_active.capacity()
             + self.delivered.capacity() * size_of::<(u64, Flit)>()
-            + self.land_sched.capacity() * size_of::<(u64, Flit)>()
             + self.boundary.capacity() * size_of::<shard::BoundaryLink>()
             + self.boundary_slot.capacity() * size_of::<u32>()
             + self.shadow.capacity() * size_of::<u32>()
@@ -2667,10 +2614,21 @@ impl RouterFabric {
 
     /// Overrides the latency/bandwidth of the link leaving `router` via
     /// `port` (e.g. the inter-node SERDES crossings of a torus fabric).
+    ///
+    /// # Panics
+    /// Panics on a zero interval, or on a positive latency for an
+    /// ejection ([`PortLink::Endpoint`]) port: the calibrated path from
+    /// the edge router to the endpoint is folded into the router
+    /// constant, so a flit ejects in the cycle it departs — only router
+    /// links ever hold flits in flight.
     pub fn set_link_spec(&mut self, router: usize, port: usize, spec: LinkSpec) {
         assert!(
             spec.interval >= 1,
             "link interval must be at least one cycle"
+        );
+        assert!(
+            spec.latency == 0 || !matches!(self.wiring[router][port], PortLink::Endpoint(_)),
+            "ejection link ({router}, {port}) must have zero latency"
         );
         if spec.latency + 1 > self.arrival_wheel.len() as u64 {
             assert_eq!(
@@ -2683,7 +2641,7 @@ impl RouterFabric {
         // Conservative incremental update of the structural lookahead
         // bound: raising a latency later leaves the bound stale-low
         // (smaller windows than allowed — never incorrect ones);
-        // [`Self::set_shards`] recomputes it exactly.
+        // [`Self::set_shards_with_lookahead`] recomputes it exactly.
         if spec.latency >= 1 {
             self.min_pos_latency = self.min_pos_latency.min(spec.latency);
         }
@@ -2846,10 +2804,10 @@ impl RouterFabric {
     }
 
     /// Phase 1 of a reference step: link arrivals due this cycle land
-    /// in their downstream queues (activating the accepting router) or
-    /// in the delivery log, visiting exactly the links the arrival wheel
-    /// has scheduled for this cycle. Credits were reserved at departure,
-    /// so acceptance cannot overflow the queue.
+    /// in their downstream queues (activating the accepting router),
+    /// visiting exactly the links the arrival wheel has scheduled for
+    /// this cycle. Credits were reserved at departure, so acceptance
+    /// cannot overflow the queue.
     fn land_arrivals(&mut self, cycle: u64) {
         if self.in_flight_total == 0 {
             return;
@@ -2884,8 +2842,9 @@ impl RouterFabric {
                         .fetch_sub(1, Ordering::Relaxed);
                     activate(&mut self.active, &mut self.is_active, router);
                 }
-                PortLink::Endpoint(_) => self.delivered.push((arrival, flit)),
-                PortLink::Unused => unreachable!("flit in flight on an unused port"),
+                PortLink::Endpoint(_) | PortLink::Unused => {
+                    unreachable!("only router links hold flits in flight")
+                }
             }
         }
         bucket.clear();
@@ -2894,8 +2853,8 @@ impl RouterFabric {
 
     /// Phase 3 of a reference step: departures enter their links
     /// (same-cycle for latency-0 links), counters update, ejections are
-    /// recorded, and same-cycle accepts activate their routers. Drains
-    /// `moves` in place.
+    /// recorded (and traced), and same-cycle accepts activate their
+    /// routers. Drains `moves` in place.
     fn apply_moves(&mut self, moves: &mut Vec<(usize, usize, Flit)>, cycle: u64) {
         for (r, out, flit) in moves.drain(..) {
             let class = self.classify.as_deref().map(|f| f(&flit));
@@ -2925,11 +2884,12 @@ impl RouterFabric {
                     self.reserved[r][out * vcs + flit.vc as usize] += 1;
                     self.schedule_arrival(r, out, cycle + spec.latency, flit);
                 }
-                PortLink::Endpoint(_) if spec.latency == 0 => {
-                    self.delivered.push((cycle, flit));
-                }
+                // Ejection links have zero latency by construction.
                 PortLink::Endpoint(_) => {
-                    self.schedule_arrival(r, out, cycle + spec.latency, flit);
+                    self.delivered.push((cycle, flit));
+                    if let Some(tel) = self.telemetry.as_deref_mut() {
+                        tel.note_deliver(cycle, &flit);
+                    }
                 }
                 PortLink::Unused => unreachable!("flit departed through an unused port"),
             }
@@ -2937,17 +2897,14 @@ impl RouterFabric {
     }
 
     /// Telemetry pre-phase of every step (reference steps and epoch
-    /// prologues alike): clamps the delivery-trace watermark after any
-    /// caller drain, and flushes the per-link epoch ring when this cycle
+    /// prologues alike): flushes the per-link epoch ring when this cycle
     /// has crossed an epoch boundary (sampling each link's occupancy —
     /// in-flight flits plus the downstream queue — at the boundary).
     fn telemetry_begin_step(&mut self) {
         let cycle = self.cycle;
-        let delivered_len = self.delivered.len();
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
-        tel.sync_delivered(delivered_len);
         if !tel.roll_due(cycle) {
             return;
         }
@@ -3044,26 +3001,17 @@ impl RouterFabric {
         }
     }
 
-    /// Telemetry post-phase of every step (reference steps and epoch
-    /// epilogues alike): emits `Deliver` trace events for this step's
-    /// new delivery-log entries.
-    fn telemetry_note_deliveries(&mut self) {
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.note_deliveries(&self.delivered);
-        }
-    }
-
     /// Advances the fabric one cycle: link arrivals land, every router
     /// **with work** arbitrates (the active worklist — idle routers are
     /// never visited), departures enter their links (same-cycle for
     /// latency-0 links), ejections are recorded. This is a one-cycle
     /// lookahead epoch — inline on this thread when unsharded, on the
-    /// worker pool configured via [`Self::set_shards`] otherwise — and
+    /// worker pool configured via [`Self::set_shards_with_lookahead`]
+    /// otherwise — and
     /// produces bit-identical results to [`Self::step_reference`] at
     /// every shard count.
     pub fn step(&mut self) {
-        let limit = self.cycle + 1;
-        self.step_epoch(limit, false);
+        self.step_epoch(self.cycle + 1);
     }
 
     /// Advances the fabric one cycle with the retained **reference**
@@ -3130,9 +3078,6 @@ impl RouterFabric {
                 self.return_credits(r);
             }
         }
-        if self.telemetry.is_some() {
-            self.telemetry_note_deliveries();
-        }
         self.cycle += 1;
     }
 
@@ -3174,10 +3119,12 @@ impl RouterFabric {
     }
 
     /// Synchronization operations (pool launches + barrier crossings)
-    /// spent by the sharded epoch stepper since construction. 0 when
-    /// unsharded: one shard's epochs run inline and synchronize nothing.
+    /// spent by the sharded epoch stepper since construction: one launch
+    /// plus one barrier per pooled epoch (the retired per-cycle protocol
+    /// cost five per simulated cycle). 0 when unsharded: one shard's
+    /// epochs run inline and synchronize nothing.
     pub fn sync_ops(&self) -> u64 {
-        self.sync_ops
+        2 * self.epochs
     }
 
     /// Lookahead epochs run on the worker pool since construction; 0
@@ -3191,14 +3138,6 @@ impl RouterFabric {
     /// unsharded.
     pub fn cycles_stepped(&self) -> u64 {
         self.cycles_stepped
-    }
-
-    /// Re-partitions the fabric into `shards` contiguous router regions
-    /// stepped in parallel by a persistent worker pool with the
-    /// structural (minimum positive link latency) lookahead window —
-    /// equivalent to [`Self::set_shards_with_lookahead`] with no cap.
-    pub fn set_shards(&mut self, shards: usize) -> Result<(), ShardError> {
-        self.set_shards_with_lookahead(shards, None)
     }
 
     /// Re-partitions the fabric into `shards` contiguous router regions
@@ -3380,9 +3319,8 @@ impl RouterFabric {
     }
 
     /// Shared event-driven advance: the dead-cycle jump plus one
-    /// lookahead epoch (`stop_at_delivery` as in [`shard`]'s
-    /// `step_epoch`).
-    fn step_ahead(&mut self, limit: u64, stop_at_delivery: bool) {
+    /// lookahead epoch, pinned to one cycle when `reactive`.
+    fn step_ahead(&mut self, limit: u64, reactive: bool) {
         if self.cycle >= limit {
             return;
         }
@@ -3397,7 +3335,7 @@ impl RouterFabric {
                 }
             }
         }
-        self.step_epoch(limit, stop_at_delivery);
+        self.step_epoch(if reactive { self.cycle + 1 } else { limit });
     }
 
     /// Total flits resident in the fabric: router queues plus link
@@ -3718,6 +3656,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must have zero latency")]
+    fn ejection_links_reject_positive_latency() {
+        // Port 2 of the row's last router is its ejection endpoint.
+        let mut fabric = build_row(2, 2, 2);
+        fabric.set_link_spec(
+            1,
+            2,
+            LinkSpec {
+                latency: 1,
+                interval: 1,
+            },
+        );
+    }
+
+    #[test]
     fn link_interval_caps_throughput() {
         // interval = 3 serializes one flit every 3 cycles.
         let mut fabric = build_row(2, 2, 2);
@@ -3915,14 +3868,14 @@ mod tests {
         let mut f = latency1_row(8);
         assert_eq!(f.shards(), 1);
         assert_eq!(
-            f.set_shards(0),
+            f.set_shards_with_lookahead(0, None),
             Err(ShardError::InvalidCount {
                 shards: 0,
                 routers: 8
             })
         );
         assert_eq!(
-            f.set_shards(9),
+            f.set_shards_with_lookahead(9, None),
             Err(ShardError::InvalidCount {
                 shards: 9,
                 routers: 8
@@ -3932,21 +3885,24 @@ mod tests {
         // the boundary exchange in.
         let mut zero = build_row(4, 2, 2);
         assert_eq!(
-            zero.set_shards(2),
+            zero.set_shards_with_lookahead(2, None),
             Err(ShardError::ZeroLatencyLink { router: 0, port: 1 })
         );
         // A busy fabric refuses to re-partition; once drained it accepts,
         // and going back to one shard always works.
         assert!(f.inject(0, 0, flit(1, 0, 1, 7, 0)).is_ok());
-        assert!(matches!(f.set_shards(2), Err(ShardError::Busy { .. })));
+        assert!(matches!(
+            f.set_shards_with_lookahead(2, None),
+            Err(ShardError::Busy { .. })
+        ));
         assert!(f.run_until_drained(200));
-        assert!(f.set_shards(2).is_ok());
+        assert!(f.set_shards_with_lookahead(2, None).is_ok());
         assert_eq!(f.shards(), 2);
-        assert!(f.set_shards(1).is_ok());
+        assert!(f.set_shards_with_lookahead(1, None).is_ok());
         assert_eq!(f.shards(), 1);
         // Shards == routers is the upper boundary: every shard owns
         // exactly one router.
-        assert!(f.set_shards(8).is_ok());
+        assert!(f.set_shards_with_lookahead(8, None).is_ok());
         assert_eq!(f.shards(), 8);
     }
 
@@ -3968,7 +3924,7 @@ mod tests {
         assert!(f.set_shards_with_lookahead(2, Some(1000)).is_ok());
         assert_eq!(f.lookahead(), 1);
         // No cap: the structural bound stands.
-        assert!(f.set_shards(2).is_ok());
+        assert!(f.set_shards_with_lookahead(2, None).is_ok());
         assert_eq!(f.lookahead(), 1);
         // The cap is part of the partition config, accepted on a single
         // shard too (whose inline epoch loop honors it like any other).
@@ -3980,7 +3936,7 @@ mod tests {
     fn sharded_row_matches_reference_bit_for_bit() {
         for shards in [2usize, 3, 5, 8] {
             let mut sharded = latency1_row(8);
-            sharded.set_shards(shards).unwrap();
+            sharded.set_shards_with_lookahead(shards, None).unwrap();
             let mut reference = latency1_row(8);
             // A contending burst: every router sends two 2-flit packets
             // across the row, so arbitration, credit back-pressure, and

@@ -52,6 +52,10 @@
 //! line) or [`ChromeTraceSink`] (a `trace_event` JSON document loadable
 //! in Perfetto / `chrome://tracing`, with one cycle mapped to one
 //! microsecond of viewer time and packets shown as async spans).
+//! Every stepper records a delivery where it appends it to the delivery
+//! log, so the buffered order — per cycle, hops then deliveries, each
+//! in ascending router order — is the reference stepper's at every
+//! (shards, window) pair.
 
 use crate::router::Flit;
 use serde::Serialize;
@@ -428,8 +432,6 @@ pub struct Telemetry {
     trace: Vec<TraceEvent>,
     /// Events discarded after [`TelemetryConfig::trace_limit`].
     trace_dropped: u64,
-    /// Delivery-log watermark for emitting `Deliver` events exactly once.
-    delivered_mark: usize,
 }
 
 impl Telemetry {
@@ -463,7 +465,6 @@ impl Telemetry {
             occ_scratch: Vec::new(),
             trace: Vec::new(),
             trace_dropped: 0,
-            delivered_mark: 0,
         }
     }
 
@@ -561,40 +562,20 @@ impl Telemetry {
         }
     }
 
-    /// Emits `Deliver` events for delivery-log entries past the
-    /// watermark; `delivered` is the fabric's (possibly caller-drained)
-    /// delivery log.
-    pub(crate) fn note_deliveries(&mut self, delivered: &[(u64, Flit)]) {
-        if self.delivered_mark > delivered.len() {
-            self.delivered_mark = delivered.len();
-        }
+    /// Records one flit's delivery to its endpoint at `cycle` — called
+    /// where the fabric appends it to the delivery log, so each delivery
+    /// is traced exactly once, right after its cycle's hops.
+    pub(crate) fn note_deliver(&mut self, cycle: u64, flit: &Flit) {
         if self.cfg.trace {
-            for &(cycle, ref flit) in &delivered[self.delivered_mark..] {
-                self.push_trace(TraceEvent {
-                    kind: TraceEventKind::Deliver,
-                    cycle,
-                    packet: flit.packet,
-                    router: flit.dest as usize,
-                    port: 0,
-                    vc: flit.vc,
-                });
-            }
+            self.push_trace(TraceEvent {
+                kind: TraceEventKind::Deliver,
+                cycle,
+                packet: flit.packet,
+                router: flit.dest as usize,
+                port: 0,
+                vc: flit.vc,
+            });
         }
-        self.delivered_mark = delivered.len();
-    }
-
-    /// Clamps the delivery watermark after the caller may have drained
-    /// the log (called at the start of each step).
-    pub(crate) fn sync_delivered(&mut self, len: usize) {
-        if self.delivered_mark > len {
-            self.delivered_mark = len;
-        }
-    }
-
-    /// Sets the delivery watermark outright — used at enable time so
-    /// deliveries that predate telemetry are never traced.
-    pub(crate) fn set_delivered_mark(&mut self, len: usize) {
-        self.delivered_mark = len;
     }
 
     fn push_trace(&mut self, ev: TraceEvent) {
@@ -911,14 +892,9 @@ mod tests {
         t.note_inject(0, 42, 0, 12, 0);
         t.note_advance(1, 0, 0, &flit(42, 0), true);
         t.note_advance(1, 0, 1, &flit(42, 1), true); // body: no hop event
-        t.note_deliveries(&[(5, flit(42, 1))]);
+        t.note_deliver(5, &flit(42, 1));
         assert_eq!(t.trace_events().len(), 3);
-        // Watermark: re-reporting the same log adds nothing.
-        t.note_deliveries(&[(5, flit(42, 1))]);
-        assert_eq!(t.trace_events().len(), 3);
-        // A drained log resets the watermark.
-        t.sync_delivered(0);
-        t.note_deliveries(&[(6, flit(43, 0))]);
+        t.note_deliver(6, &flit(43, 0));
         assert_eq!(t.trace_events().len(), 4);
         // Buffer is full now (limit 4): further events count as dropped.
         t.note_inject(7, 44, 1, 12, 0);

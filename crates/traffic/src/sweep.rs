@@ -121,7 +121,7 @@ pub struct SweepConfig {
     /// roughly double the carried load at a given offered rate.
     pub respond: bool,
     /// Worker shards the fabric step is partitioned across
-    /// ([`TorusFabric::set_shards`]); 1 runs the same lookahead-epoch
+    /// ([`TorusFabric::set_shards_with_lookahead`]); 1 runs the same lookahead-epoch
     /// loop inline on the sweep's thread, with no worker pool or
     /// barrier. Sharding is an execution strategy, not a model
     /// parameter: every measurement is bit-identical at any shard
@@ -322,14 +322,6 @@ impl LatencyStats {
     pub fn class_summary(&self, class: TrafficClass) -> LatencySummary {
         let k = (class == TrafficClass::Response) as usize;
         summarize(&self.class_hist[k], &self.class_moments[k])
-    }
-
-    /// The serializable summary of one payload [`ByteKind`].
-    pub fn kind_summary(&self, kind: ByteKind) -> LatencySummary {
-        summarize(
-            &self.kind_hist[kind.index()],
-            &self.kind_moments[kind.index()],
-        )
     }
 }
 

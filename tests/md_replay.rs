@@ -2,16 +2,16 @@
 //! typing, reconciled exactly — the same conservation style as the
 //! PR 2 replayed-trace test, now per [`ByteKind`].
 //!
-//! An [`MdHaloWorkload`] built from a real spatial decomposition drives
-//! the fabric through the unified `inject(PacketSpec)` endpoint:
-//! position exports (request class, [`ByteKind::Position`]) to the
-//! import-region neighborhood, each delivered export spawning a force
-//! return (response class, [`ByteKind::Force`]). Every accepted
-//! injection's returned [`RoutePlan`] is walked independently to build
-//! the expected per-(link, slice, kind) flit counts; after the drain,
-//! the fabric's typed [`LinkStats`] must match them **exactly**, link
-//! by link, and the machine-wide totals must conserve wire bytes per
-//! kind under the same `PacketKind -> ByteKind` mapping the analytic
+//! An [`MdHaloWorkload`] built from a real spatial decomposition runs
+//! through the shared scenario driver ([`run_scenario`]): position
+//! exports (request class, [`ByteKind::Position`]) to the import-region
+//! neighborhood, each delivered export spawning a force return (response
+//! class, [`ByteKind::Force`]). A recording wrapper keeps every spec the
+//! workload emits; each one's [`RoutePlan`] is walked independently to
+//! build the expected per-(link, slice, kind) flit counts. After the
+//! drain, the fabric's typed [`LinkStats`] must match them **exactly**,
+//! link by link, and the machine-wide totals must conserve wire bytes
+//! per kind under the same `PacketKind -> ByteKind` mapping the analytic
 //! channel adapters use.
 //!
 //! [`RoutePlan`]: anton3::net::routing::RoutePlan
@@ -20,14 +20,55 @@ use anton3::md::decomp::Decomposition;
 use anton3::model::latency::LatencyModel;
 use anton3::model::topology::{Direction, NodeId, Torus};
 use anton3::net::channel::{ByteKind, LinkStats};
-use anton3::net::fabric3d::{
-    FabricParams, PacketSpec, TorusFabric, TrafficClass, FLIT_BYTES, SLICES,
-};
+use anton3::net::fabric3d::{FabricParams, PacketSpec, FLIT_BYTES, SLICES};
 use anton3::net::packet::PacketKind;
 use anton3::sim::rng::SplitMix64;
+use anton3::traffic::sweep::{run_scenario, SweepConfig};
 use anton3::traffic::workload::{MdHaloWorkload, Workload};
 use std::collections::HashMap;
-use std::collections::VecDeque;
+
+/// Passes every call through to `inner`, keeping a copy of each spec it
+/// emits — generated exports and spawned force returns alike.
+struct Recording<W> {
+    inner: W,
+    emitted: Vec<PacketSpec>,
+}
+
+impl<W: Workload> Workload for Recording<W> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn next_packets(
+        &mut self,
+        torus: &Torus,
+        src: NodeId,
+        cycle: u64,
+        rng: &mut SplitMix64,
+        out: &mut Vec<PacketSpec>,
+    ) {
+        let start = out.len();
+        self.inner.next_packets(torus, src, cycle, rng, out);
+        self.emitted.extend_from_slice(&out[start..]);
+    }
+
+    fn on_delivered(
+        &mut self,
+        torus: &Torus,
+        delivered: &PacketSpec,
+        cycle: u64,
+        rng: &mut SplitMix64,
+        out: &mut Vec<PacketSpec>,
+    ) {
+        let start = out.len();
+        self.inner.on_delivered(torus, delivered, cycle, rng, out);
+        self.emitted.extend_from_slice(&out[start..]);
+    }
+
+    fn spawns(&self) -> bool {
+        self.inner.spawns()
+    }
+}
 
 #[test]
 fn md_halo_replay_reconciles_per_kind_link_stats_exactly() {
@@ -36,112 +77,73 @@ fn md_halo_replay_reconciles_per_kind_link_stats_exactly() {
     // model), so exports reach face/edge/corner sharers only.
     let torus = Torus::new([3, 3, 3]);
     let decomp = Decomposition::new(torus, [30.0; 3], 3.25);
-    let mut workload = MdHaloWorkload::from_decomposition(&decomp, 48, 2, 42);
+    let mut workload = Recording {
+        inner: MdHaloWorkload::from_decomposition(&decomp, 48, 2, 42),
+        emitted: Vec::new(),
+    };
     let params = FabricParams::calibrated(&LatencyModel::default());
-    let mut fabric = TorusFabric::new(torus, params);
-
-    let n = torus.node_count();
-    let root = SplitMix64::new(0x4D44);
-    let mut node_rng: Vec<SplitMix64> = (0..n as u64).map(|i| root.split(i)).collect();
-    let mut queues: Vec<VecDeque<PacketSpec>> = Vec::new();
-    queues.resize_with(n, VecDeque::new);
-    let mut specs: HashMap<u64, PacketSpec> = HashMap::new();
-    let mut next_id = 0u64;
-    let mut emitted: Vec<PacketSpec> = Vec::new();
-    // (node, dir index, slice, kind index) -> expected flits.
-    let mut expected: HashMap<(u16, usize, usize, usize), u64> = HashMap::new();
-    let mut requests_delivered = 0u64;
-    let mut responses_spawned = 0u64;
-
-    // The per-node generation probability: low enough to drain, high
-    // enough to exercise every link kind.
-    let gen_cycles = 400u64;
-    let mut cycle = 0u64;
-    loop {
-        if cycle < gen_cycles {
-            for node in 0..n {
-                if node_rng[node].next_f64() < 0.10 {
-                    workload.next_packets(
-                        &torus,
-                        NodeId(node as u16),
-                        cycle,
-                        &mut node_rng[node],
-                        &mut emitted,
-                    );
-                    for spec in emitted.drain(..) {
-                        let id = next_id;
-                        next_id += 1;
-                        queues[node].push_back(PacketSpec { id, ..spec });
-                    }
-                }
-            }
-        }
-        // Head-of-line injection per node; a rejected spec is retried
-        // verbatim next cycle. Every accepted plan is walked into the
-        // expected per-kind link counts.
-        for queue in queues.iter_mut() {
-            let Some(&spec) = queue.front() else { continue };
-            if let Ok(plan) = fabric.inject(spec) {
-                queue.pop_front();
-                specs.insert(spec.id, spec);
-                let mut cur = torus.coord(spec.src);
-                for hop in &plan.hops {
-                    *expected
-                        .entry((
-                            torus.node_id(cur).0,
-                            hop.dir.index(),
-                            spec.slice,
-                            spec.kind.index(),
-                        ))
-                        .or_insert(0) += spec.nflits as u64;
-                    cur = torus.neighbor(cur, hop.dir);
-                }
-                assert_eq!(
-                    cur,
-                    torus.coord(spec.dst),
-                    "plan must reach its destination"
-                );
-            }
-        }
-        fabric.step();
-        cycle = fabric.cycle();
-        for (_at, flit) in fabric.take_delivered() {
-            if !flit.is_tail() {
-                continue;
-            }
-            let spec = specs[&flit.packet];
-            if spec.class == TrafficClass::Request {
-                requests_delivered += 1;
-            }
-            workload.on_delivered(
-                &torus,
-                &spec,
-                cycle,
-                &mut node_rng[spec.dst.index()],
-                &mut emitted,
-            );
-            for spawned in emitted.drain(..) {
-                responses_spawned += 1;
-                let id = next_id;
-                next_id += 1;
-                queues[spawned.src.index()].push_back(PacketSpec { id, ..spawned });
-            }
-        }
-        let queued: usize = queues.iter().map(VecDeque::len).sum();
-        if cycle >= gen_cycles && queued == 0 && fabric.occupancy() == 0 {
-            // One more drain pass so trailing deliveries spawn and land.
-            if fabric.delivered().is_empty() {
-                break;
-            }
-        }
-        assert!(cycle < 3_000_000, "replay failed to drain");
-    }
-
-    assert!(requests_delivered > 200, "replay must carry real traffic");
+    // 400 generation cycles at a 0.10 per-node packet probability (0.2
+    // flits/node/cycle over 2-flit packets): low enough to drain, high
+    // enough to exercise every link kind. No warm-up, so every export
+    // and every force return is tracked, and the driver stops only once
+    // all of them have landed.
+    let cfg = SweepConfig {
+        flits_per_packet: 2,
+        warmup_cycles: 0,
+        measure_cycles: 400,
+        drain_cycles: 100_000,
+        seed: 0x4D44,
+        loads: vec![],
+        ..SweepConfig::new([3, 3, 3])
+    };
+    let run = run_scenario(&mut workload, &cfg, params, 0.2, 0);
+    let (request, response) = (
+        run.point.request,
+        run.point
+            .response
+            .expect("halo replay spawns force returns"),
+    );
+    assert_eq!(request.packets_incomplete, 0, "replay failed to drain");
+    assert_eq!(response.packets_incomplete, 0, "replay failed to drain");
+    assert_eq!(run.fabric.occupancy(), 0, "replay failed to drain");
+    assert!(
+        request.packets_measured > 200,
+        "replay must carry real traffic"
+    );
     assert_eq!(
-        responses_spawned, requests_delivered,
+        response.packets_measured, request.packets_measured,
         "every delivered position export owes exactly one force return"
     );
+    assert_eq!(
+        workload.emitted.len() as u64,
+        request.packets_measured + response.packets_measured,
+        "every emitted spec is tracked"
+    );
+    let fabric = run.fabric;
+
+    // Every spec was injected, so walking its route plan gives the
+    // expected per-kind link counts.
+    // (node, dir index, slice, kind index) -> expected flits.
+    let mut expected: HashMap<(u16, usize, usize, usize), u64> = HashMap::new();
+    for spec in &workload.emitted {
+        let mut cur = torus.coord(spec.src);
+        for hop in &fabric.plan(spec).hops {
+            *expected
+                .entry((
+                    torus.node_id(cur).0,
+                    hop.dir.index(),
+                    spec.slice,
+                    spec.kind.index(),
+                ))
+                .or_insert(0) += spec.nflits as u64;
+            cur = torus.neighbor(cur, hop.dir);
+        }
+        assert_eq!(
+            cur,
+            torus.coord(spec.dst),
+            "plan must reach its destination"
+        );
+    }
 
     // Exact reconciliation, link by link and kind by kind, against the
     // independently walked route plans.

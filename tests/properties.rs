@@ -8,8 +8,7 @@ use anton3::compress::pcache::{ChannelPcache, ParticleKey};
 use anton3::model::topology::{DimOrder, NodeId, Torus};
 use anton3::net::channel::ByteKind;
 use anton3::net::fabric3d::{
-    encode_request_tag, encode_response_tag, torus_route, torus_route_tab, CoordCache, RouteTables,
-    SLICES,
+    encode_request_tag, encode_response_tag, torus_route, torus_route_tab, RouteTables, SLICES,
 };
 use anton3::net::router::Flit;
 use anton3::net::routing;
@@ -316,7 +315,6 @@ proptest! {
         let dims = [x, y, z];
         let torus = Torus::new(dims);
         let tables = RouteTables::build(&torus);
-        let cache = CoordCache::new(&torus);
         let n = torus.node_count() as u32;
         let router = (router_ix % n) as usize;
         let dest = (dest_ix % n) as usize;
@@ -342,12 +340,6 @@ proptest! {
                 torus_route_tab(&tables, &f, router),
                 direct,
                 "table decision diverged (dims {:?}, router {}, dest {}, tag {:#06x})",
-                dims, router, dest, tag
-            );
-            prop_assert_eq!(
-                cache.route(&torus, &f, router),
-                direct,
-                "coord-cache decision diverged (dims {:?}, router {}, dest {}, tag {:#06x})",
                 dims, router, dest, tag
             );
         }

@@ -13,7 +13,7 @@ use anton3::model::topology::{Direction, NodeId, Torus};
 use anton3::net::channel::ByteKind;
 use anton3::net::fabric3d::{FabricParams, PacketSpec, TorusFabric, SLICES};
 use anton3::net::router::ShardError;
-use anton3::net::telemetry::TelemetryConfig;
+use anton3::net::telemetry::{TelemetryConfig, TraceEventKind};
 use anton3::sim::rng::SplitMix64;
 use proptest::prelude::*;
 
@@ -50,7 +50,10 @@ fn drive(
     let params = FabricParams::calibrated(&LatencyModel::default());
     let mut fabric = TorusFabric::new(torus, params);
     if telemetry {
-        fabric.enable_telemetry(TelemetryConfig::default());
+        fabric.enable_telemetry(TelemetryConfig {
+            trace: true,
+            ..TelemetryConfig::default()
+        });
     }
     if let Mode::Sharded(shards, lookahead) = mode {
         fabric
@@ -221,6 +224,24 @@ proptest! {
             "telemetry summaries diverged at {} shards (lookahead {:?})",
             shards, lookahead
         );
+        // The packet trace is recorded where each delivery is, so even
+        // the batched drain's multi-cycle windows replay the reference's
+        // per-cycle event order — and trace every delivery exactly once.
+        let trace = |f: &TorusFabric| f.telemetry().expect("telemetry on").trace_events().to_vec();
+        let (sharded_trace, naive_trace) = (trace(&sharded), trace(&naive));
+        prop_assert_eq!(sharded_trace.len(), naive_trace.len(), "trace lengths diverged");
+        for (i, (a, b)) in sharded_trace.iter().zip(&naive_trace).enumerate() {
+            prop_assert_eq!(
+                a, b,
+                "trace event {} diverged at {} shards (lookahead {:?})",
+                i, shards, lookahead
+            );
+        }
+        let delivers = sharded_trace
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Deliver)
+            .count();
+        prop_assert_eq!(delivers, sharded_log.len(), "deliveries traced once each");
     }
 }
 
@@ -269,16 +290,18 @@ fn shard_count_changes_are_validated_and_rejected_mid_flight() {
     // configuration errors, reported — not panicked — before any state
     // changes.
     assert!(matches!(
-        fabric.set_shards(0),
+        fabric.set_shards_with_lookahead(0, None),
         Err(ShardError::InvalidCount { .. })
     ));
     assert!(matches!(
-        fabric.set_shards(routers + 1),
+        fabric.set_shards_with_lookahead(routers + 1, None),
         Err(ShardError::InvalidCount { .. })
     ));
 
     // A drained, idle fabric repartitions freely.
-    fabric.set_shards(4).expect("idle fabric reshards");
+    fabric
+        .set_shards_with_lookahead(4, None)
+        .expect("idle fabric reshards");
     assert_eq!(fabric.shards(), 4);
 
     // Mid-flight the partition is pinned: resident flits straddle the
@@ -287,14 +310,21 @@ fn shard_count_changes_are_validated_and_rejected_mid_flight() {
     let mut rng = SplitMix64::new(7);
     let spec = PacketSpec::request(NodeId(0), NodeId(5), 0, 2).drawn(&mut rng);
     fabric.inject(spec).expect("empty fabric accepts");
-    assert!(matches!(fabric.set_shards(2), Err(ShardError::Busy { .. })));
+    assert!(matches!(
+        fabric.set_shards_with_lookahead(2, None),
+        Err(ShardError::Busy { .. })
+    ));
     assert_eq!(fabric.shards(), 4, "rejected change must not repartition");
 
     // Drain invariant: the sharded fabric empties completely, after
     // which repartitioning (including back to 1) succeeds again.
     assert!(fabric.run_until_drained(10_000), "sharded fabric drains");
     assert_eq!(fabric.occupancy(), 0);
-    fabric.set_shards(2).expect("drained fabric reshards");
-    fabric.set_shards(1).expect("back to one shard");
+    fabric
+        .set_shards_with_lookahead(2, None)
+        .expect("drained fabric reshards");
+    fabric
+        .set_shards_with_lookahead(1, None)
+        .expect("back to one shard");
     assert_eq!(fabric.shards(), 1);
 }
