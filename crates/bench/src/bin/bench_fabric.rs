@@ -42,6 +42,11 @@
 //! short light-load steps/s figure. `--quick` skips this section for
 //! local iteration; both shapes are asserted inside the documented
 //! [`BYTES_PER_ROUTER_BUDGET`].
+//!
+//! The `overload_memory` section (schema 6) audits the 8x8x8 overload
+//! point twice: the freshly built fabric, held under
+//! [`BYTES_PER_ROUTER_BUDGET`], and the event run's fabric at the end of
+//! the scenario, held under [`SATURATED_BYTES_PER_ROUTER_BUDGET`].
 
 use anton_model::latency::LatencyModel;
 use anton_model::topology::{Direction, NodeId, Torus};
@@ -62,8 +67,9 @@ use std::time::Instant;
 /// the `large_shape` section — the 16³ shard-scaling overload point and
 /// the 32³ construction audit; 5 turns `shard_scaling` into a
 /// shard x lookahead matrix with per-row synchronization counters and
-/// adds the `sync_cost` drain probe of the lookahead-epoch stepper).
-const BENCH_SCHEMA_VERSION: u32 = 5;
+/// adds the `sync_cost` drain probe of the lookahead-epoch stepper; 6
+/// adds the `overload_memory` fresh and end-of-run audits).
+const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// The documented per-router memory budget a constructed mega-fabric
 /// must fit: fixed state (flit slabs, wheels, credit mirrors, link
@@ -72,6 +78,14 @@ const BENCH_SCHEMA_VERSION: u32 = 5;
 /// headroom without tolerating a regression back toward the quadratic
 /// tables (which cost ~14 KB/router at a mere 1024 nodes).
 const BYTES_PER_ROUTER_BUDGET: usize = 8 * 1024;
+
+/// The documented per-router memory budget of a **saturated** fabric:
+/// the 8x8x8 overload point's event run, audited at the end of the
+/// scenario, when flit slabs, the arrival wheel, and the delivery log
+/// have grown to their high-water marks. Measured 60,478 bytes/router;
+/// the budget fails a return to 32-byte flits stored twice while in
+/// link flight (86,597 bytes/router).
+const SATURATED_BYTES_PER_ROUTER_BUDGET: usize = 64 * 1024;
 
 /// One stepper's measured run of one benchmark scenario.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -318,8 +332,21 @@ struct FabricBench {
     moderate_4x4x8: ScenarioBench,
     /// The overload scenario with telemetry recording enabled.
     telemetry: TelemetryOverhead,
+    /// The 8x8x8 overload point's memory audits: fresh and at the end
+    /// of the event run.
+    overload_memory: OverloadMemory,
     /// The mega-fabric section (`null` when run with `--quick`).
     large_shape: Option<LargeShape>,
+}
+
+/// The 8x8x8 overload point's memory audits.
+#[derive(Clone, Copy, Debug, Serialize)]
+struct OverloadMemory {
+    /// The freshly built fabric, under [`BYTES_PER_ROUTER_BUDGET`].
+    fresh: MemoryRow,
+    /// The event run's fabric at the end of the scenario, under
+    /// [`SATURATED_BYTES_PER_ROUTER_BUDGET`].
+    end: MemoryRow,
 }
 
 /// Machine-wide flit-hops: flits that entered any directed slice link
@@ -361,13 +388,15 @@ fn run_mode(
     )
 }
 
+/// Runs one scenario on both steppers; returns the bench row and the
+/// memory audit of the event run's fabric at the end of the scenario.
 fn bench_scenario(
     scenario: &str,
     cfg: &SweepConfig,
     params: FabricParams,
     offered: f64,
     stream: u64,
-) -> ScenarioBench {
+) -> (ScenarioBench, FabricMemoryReport) {
     let (event_run, event, event_hops) = run_mode(cfg, params, offered, stream, Stepper::Event);
     let (ref_run, reference, ref_hops) = run_mode(cfg, params, offered, stream, Stepper::Reference);
     // The speedup is only meaningful on identical work — and equality is
@@ -383,7 +412,7 @@ fn bench_scenario(
         (ref_run.fabric.cycle(), ref_hops),
         "{scenario}: steppers disagreed on cycles or flit-hops"
     );
-    ScenarioBench {
+    let bench = ScenarioBench {
         scenario: scenario.to_string(),
         dims: cfg.dims,
         offered,
@@ -392,7 +421,8 @@ fn bench_scenario(
         event,
         reference,
         speedup: reference.wall_seconds / event.wall_seconds,
-    }
+    };
+    (bench, event_run.fabric.memory_report())
 }
 
 /// One measured (shards, lookahead) cell of an overload scenario on the
@@ -462,11 +492,11 @@ fn shard_scaling(
 }
 
 /// Flattens a [`FabricMemoryReport`] into the artifact row, holding the
-/// documented budget.
-fn memory_row(shape: &str, report: &FabricMemoryReport) -> MemoryRow {
+/// documented `budget` (bytes/router).
+fn memory_row(shape: &str, report: &FabricMemoryReport, budget: usize) -> MemoryRow {
     assert!(
-        report.bytes_per_router <= BYTES_PER_ROUTER_BUDGET,
-        "{shape}: {} bytes/router exceeds the {BYTES_PER_ROUTER_BUDGET}-byte budget",
+        report.bytes_per_router <= budget,
+        "{shape}: {} bytes/router exceeds the {budget}-byte budget",
         report.bytes_per_router
     );
     MemoryRow {
@@ -484,7 +514,7 @@ fn construct_audit(dims: [u8; 3], params: FabricParams) -> (f64, MemoryRow) {
     let shape = format!("{}x{}x{}", dims[0], dims[1], dims[2]);
     (
         construct_seconds,
-        memory_row(&shape, &fabric.memory_report()),
+        memory_row(&shape, &fabric.memory_report(), BYTES_PER_ROUTER_BUDGET),
     )
 }
 
@@ -614,7 +644,16 @@ fn main() {
     // The CI overload smoke's 0.9 point, stream included (see
     // `SweepConfig::overload_8x8x8`).
     let overload = SweepConfig::overload_8x8x8();
-    let overload_8x8x8 = bench_scenario("8x8x8 overload", &overload, params, 0.9, 1025);
+    let (overload_8x8x8, overload_end) =
+        bench_scenario("8x8x8 overload", &overload, params, 0.9, 1025);
+    let overload_memory = OverloadMemory {
+        fresh: construct_audit(overload.dims, params).1,
+        end: memory_row(
+            "8x8x8 overload, end of run",
+            &overload_end,
+            SATURATED_BYTES_PER_ROUTER_BUDGET,
+        ),
+    };
 
     // The lookahead-epoch stepper's scaling matrix on the same point,
     // and the drain-phase barrier-cost probe.
@@ -624,7 +663,7 @@ fn main() {
     // A mid-load 128-node point: the common calibration regime.
     let mut moderate = SweepConfig::calibration_4x4x8();
     moderate.respond = true;
-    let moderate_4x4x8 = bench_scenario("4x4x8 moderate", &moderate, params, 0.3, 7);
+    let (moderate_4x4x8, _) = bench_scenario("4x4x8 moderate", &moderate, params, 0.3, 7);
 
     // Telemetry cost probe: the same overload scenario on the event core
     // with recording on. Telemetry is observational, so this must land
@@ -671,6 +710,7 @@ fn main() {
         sync_cost,
         moderate_4x4x8,
         telemetry,
+        overload_memory,
         large_shape,
     };
     baseline_check(&bench);
@@ -734,6 +774,12 @@ fn main() {
         "telemetry overhead (8x8x8 overload, recording on): {:>8.2}s wall  \
          {:>12.0} steps/s  {:.2}x the event core",
         bench.telemetry.wall_seconds, bench.telemetry.steps_per_sec, bench.telemetry.overhead_ratio
+    );
+    let m = &bench.overload_memory;
+    println!(
+        "memory (8x8x8 overload): {} bytes/router fresh, {} bytes/router at the end \
+         of the event run (saturated budget {SATURATED_BYTES_PER_ROUTER_BUDGET})",
+        m.fresh.bytes_per_router, m.end.bytes_per_router
     );
     let Some(large) = &bench.large_shape else {
         println!();

@@ -778,7 +778,6 @@ mod tests {
             dest: 7,
             vc: 1,
             tag: 0,
-            injected_at: 0,
         }
     }
 

@@ -79,9 +79,10 @@ fn main() {
     let spec = PacketSpec::request(NodeId(0), NodeId(7), 1, 2)
         .with_kind(ByteKind::Position)
         .drawn(&mut rng);
+    let injected_at = fabric.cycle();
     let fabric_plan = fabric.inject(spec).expect("empty fabric has credits");
     assert!(fabric.run_until_drained(100_000));
-    let (cycle, head) = fabric.delivered()[0];
+    let latency = fabric.delivered()[0].0 - injected_at;
     println!(
         "\ncycle fabric: position packet {} -> {} took {} hops on slice {}, \
          head latency {} cycles ({:.1} ns/hop vs {:.1} analytic)",
@@ -89,8 +90,8 @@ fn main() {
         NodeId(7),
         fabric_plan.hop_count(),
         spec.slice,
-        cycle - head.injected_at,
-        (cycle - head.injected_at - params.router_cycles) as f64 / fabric_plan.hop_count() as f64
+        latency,
+        (latency - params.router_cycles) as f64 / fabric_plan.hop_count() as f64
             * params.per_hop_time().as_ns()
             / params.per_hop_cycles() as f64,
         params.per_hop_time().as_ns(),

@@ -273,10 +273,10 @@ proptest! {
         let spec = PacketSpec::request(src, dst, 1, 1).with_draw(order_idx, slice, base_vc);
         let plan = fabric.inject(spec).expect("empty fabric has credits");
         prop_assert!(fabric.run_until_drained(1_000_000), "must drain");
-        let (cycle, flit) = fabric.delivered()[0];
-        // Unloaded latency encodes the hop count; it must equal the
-        // plan's, and the delivered VC must equal the plan's last hop VC.
-        let latency = cycle - flit.injected_at;
+        // Injected at cycle 0, the delivery cycle is the unloaded
+        // latency; it encodes the hop count, which must equal the plan's,
+        // and the delivered VC must equal the plan's last hop VC.
+        let (latency, flit) = fabric.delivered()[0];
         let hops = (latency - params.router_cycles) / params.per_hop_cycles();
         prop_assert_eq!(hops as u32, plan.hop_count(), "fabric hop count != plan");
         if let Some(last) = plan.hops.last() {
@@ -333,7 +333,6 @@ proptest! {
                 dest: dest as u32,
                 vc: 0,
                 tag,
-                injected_at: 0,
             };
             let direct = torus_route(&torus, &f, router);
             prop_assert_eq!(

@@ -87,3 +87,11 @@ fn response_tags_roundtrip_exhaustively_and_stay_disjoint_from_requests() {
         }
     }
 }
+
+#[test]
+fn flit_is_packet_identity_plus_routing_state() {
+    // `packet` (8 B) + `dest` (4 B) + `tag` (2 B) + `index`, `of`, `vc`
+    // (1 B each), padded to the u64 alignment: no timestamp rides along.
+    // Every queued, in-flight and delivered flit pays this size.
+    assert_eq!(std::mem::size_of::<anton3::net::router::Flit>(), 24);
+}
